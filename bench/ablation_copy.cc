@@ -32,17 +32,12 @@ rxKernelTimeUs(std::size_t size, bool charge_copy)
     sim::Process sink(s, "sink", [&](sim::Process &self) {
         auto &un = rig.unetOf(1);
         auto &ep = rig.ep(1);
-        for (int i = 0; i < 16; ++i)
-            un.postFree(self, ep,
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(un, self, ep, 16);
         RecvDescriptor rd;
         while (seen < messages &&
                ep.wait(self, rd, sim::milliseconds(50))) {
             ++seen;
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep,
-                                {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
         }
     });
     sim::Process source(s, "source", [&](sim::Process &self) {

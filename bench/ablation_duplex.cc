@@ -23,8 +23,6 @@ double
 bidirectionalMbps(bool full_duplex)
 {
     RigOptions opts;
-    opts.overrideSwitch = true;
-    opts.switchSpec = eth::SwitchSpec::bay28115();
     opts.switchSpec.fullDuplex = full_duplex;
 
     sim::Simulation s;
@@ -39,19 +37,14 @@ bidirectionalMbps(bool full_duplex)
             first = s.now();
         last = s.now();
         ++delivered;
-        if (!rd.isSmall)
-            for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                un.postFree(self, ep, {rd.buffers[i].offset, 2048});
+        recycleBuffers(un, self, ep, rd);
     };
 
     auto node = [&](int side) {
         return [&, side](sim::Process &self) {
             auto &un = rig.unetOf(side);
             auto &ep = rig.ep(side);
-            for (int i = 0; i < 16; ++i)
-                un.postFree(self, ep,
-                            {static_cast<std::uint32_t>(i * 2048),
-                             2048});
+            postRecvBuffers(un, self, ep, 16);
             int sent = 0, got = 0;
             RecvDescriptor rd;
             while (sent < messages || got < messages) {

@@ -42,13 +42,7 @@ main(int argc, char **argv)
                                   10000, 100000, 1000000};
     const std::size_t hots[] = {16, 256};
 
-    struct Row
-    {
-        std::string name;
-        double value;
-        const char *unit;
-    };
-    std::vector<Row> rows;
+    std::vector<BenchRow> rows;
 
     for (Fabric fabric : {Fabric::FeBay, Fabric::AtmOc3}) {
         const char *nic = fabric == Fabric::FeBay ? "fe" : "atm";
@@ -80,21 +74,5 @@ main(int argc, char **argv)
         }
     }
 
-    std::FILE *out = std::fopen(out_path, "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path);
-        return 1;
-    }
-    std::fprintf(out, "{\n  \"format\": \"unet-bench-v1\",\n"
-                      "  \"benchmarks\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        std::fprintf(out,
-                     "    {\"name\": \"%s\", \"value\": %.1f, "
-                     "\"unit\": \"%s\", \"lower_is_better\": true}%s\n",
-                     rows[i].name.c_str(), rows[i].value,
-                     rows[i].unit, i + 1 < rows.size() ? "," : "");
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path);
-    return 0;
+    return writeBenchJson(out_path, rows) ? 0 : 1;
 }

@@ -102,19 +102,14 @@ runEpScale(Fabric fabric, std::size_t total, std::size_t hot_capacity,
     sim::Process echo(s, "echo", [&](sim::Process &self) {
         auto &un = rig.unetOf(1);
         auto &ep = *echo_ep;
-        for (int i = 0; i < 8; ++i)
-            un.postFree(self, ep,
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(un, self, ep, 8);
         RecvDescriptor rd;
         while (delivered < expected) {
             if (!ep.wait(self, rd, sim::seconds(1)))
                 return;
             ++delivered;
             ChannelId back = rd.channel;
-            if (!rd.isSmall)
-                for (std::uint8_t b = 0; b < rd.bufferCount; ++b)
-                    un.postFree(self, ep,
-                                {rd.buffers[b].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
             rawSend(un, self, ep, back, kMessageBytes, 16384, !atm);
             un.flush(self, ep);
         }
@@ -143,10 +138,7 @@ runEpScale(Fabric fabric, std::size_t total, std::size_t hot_capacity,
                 un.flush(self, *eps[i]);
                 if (!eps[i]->wait(self, rd, sim::seconds(1)))
                     return;
-                if (!rd.isSmall)
-                    for (std::uint8_t b = 0; b < rd.bufferCount; ++b)
-                        un.postFree(self, *eps[i],
-                                    {rd.buffers[b].offset, 2048});
+                recycleBuffers(un, self, *eps[i], rd);
                 if (r > 0)
                     rtts.push_back(s.now() - t0);
             }

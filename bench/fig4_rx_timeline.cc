@@ -31,9 +31,7 @@ receiveOnce(std::size_t size, const ObsOutputs *outs = nullptr)
 
     sim::Process rx(s, "rx", [&](sim::Process &self) {
         auto &fe = static_cast<UNetFe &>(rig.unetOf(1));
-        for (int i = 0; i < 4; ++i)
-            fe.postFree(self, rig.ep(1),
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(fe, self, rig.ep(1), 4);
         RecvDescriptor rd;
         rig.ep(1).wait(self, rd, sim::seconds(1));
     });

@@ -19,14 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "atm/switch.hh"
-#include "eth/hub.hh"
-#include "eth/link.hh"
-#include "eth/switch.hh"
-#include "fault/attach.hh"
 #include "obs/export.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topo.hh"
 
 namespace unet::bench {
 
@@ -106,13 +100,14 @@ struct RigOptions
 {
     UNetFeSpec feSpec;
     nic::Pca200Spec pcaSpec;
+    /** The Bay 28115 of Fabric::FeBay. */
     eth::SwitchSpec switchSpec = eth::SwitchSpec::bay28115();
-    bool overrideSwitch = false;
 };
 
 /**
- * Two nodes on a chosen fabric with raw U-Net endpoints — the rig for
- * the Fig. 5 round-trip and Fig. 6 bandwidth measurements.
+ * Two nodes, "A" and "B", on a chosen fabric with raw U-Net endpoints
+ * — the rig for the Fig. 5 round-trip and Fig. 6 bandwidth
+ * measurements.
  *
  * Processes are created by the caller (they own the endpoints); wire()
  * connects them after construction.
@@ -121,35 +116,17 @@ class RawPair
 {
   public:
     RawPair(sim::Simulation &s, Fabric fabric, RigOptions opts = {})
-        : s(s), fabric(fabric), opts(opts)
+        : net(s, fabricKind(fabric),
+              fabric == Fabric::FeFn100 ? eth::SwitchSpec::fn100()
+                                        : opts.switchSpec)
     {
-        host::CpuSpec cpu = host::CpuSpec::pentium120();
-        host::BusSpec bus = host::BusSpec::pci();
-        hostA = std::make_unique<host::Host>(s, "A", cpu, bus);
-        hostB = std::make_unique<host::Host>(s, "B", cpu, bus);
-
-        switch (fabric) {
-          case Fabric::FeHub:
-            hub = std::make_unique<eth::Hub>(s);
-            makeFe(*hub);
-            break;
-          case Fabric::FeBay:
-            sw = std::make_unique<eth::Switch>(
-                s, opts.overrideSwitch ? opts.switchSpec
-                                       : eth::SwitchSpec::bay28115());
-            makeFe(*sw);
-            break;
-          case Fabric::FeFn100:
-            sw = std::make_unique<eth::Switch>(
-                s, eth::SwitchSpec::fn100());
-            makeFe(*sw);
-            break;
-          case Fabric::AtmOc3:
-          case Fabric::AtmTaxi:
-            makeAtm(fabric == Fabric::AtmOc3 ? atm::LinkSpec::oc3()
-                                             : atm::LinkSpec::taxi140());
-            break;
-        }
+        topo::NodeSpec node;
+        node.fe = opts.feSpec;
+        node.pca = opts.pcaSpec;
+        node.link = fabric == Fabric::AtmTaxi ? atm::LinkSpec::taxi140()
+                                              : atm::LinkSpec::oc3();
+        net.add("A", node);
+        net.add("B", node);
     }
 
     /** Create endpoints owned by the given processes and connect. */
@@ -157,44 +134,21 @@ class RawPair
     wire(sim::Process &proc_a, sim::Process &proc_b,
          EndpointConfig cfg = {})
     {
-        epA = &unetA->createEndpoint(&proc_a, cfg);
-        epB = &unetB->createEndpoint(&proc_b, cfg);
-        if (feA) {
-            UNetFe::connect(*feA, *epA, *feB, *epB, chanA, chanB);
-        } else {
-            UNetAtm::connect(*atmA, *epA, portA, *atmB, *epB, portB,
-                             *signalling, chanA, chanB);
-        }
+        epA = &net.unet(0).createEndpoint(&proc_a, cfg);
+        epB = &net.unet(1).createEndpoint(&proc_b, cfg);
+        net.connect(0, *epA, 1, *epB, chanA, chanB);
     }
 
     /**
-     * Arm @p plan on every custody boundary this rig has. Sites use
-     * the canonical names with ".a"/".b" suffixes for the per-node
-     * components (nic.fe.rx.a, atm.link.b.0, ...). The plan must be
-     * declared *after* the Simulation: armed injectors register
-     * metrics and must die first.
+     * Arm @p plan on every custody boundary this rig has, node A's
+     * sites suffixed ".a" and node B's ".b" (nic.fe.rx.a,
+     * atm.link.b.0, ...). The plan must be declared *after* the
+     * Simulation: armed injectors register metrics and must die first.
      */
     void
     attachFaults(fault::Plan &plan)
     {
-        if (hub)
-            fault::attach(plan, s, *hub);
-        if (sw)
-            fault::attach(plan, s, *sw);
-        if (nicA)
-            fault::attach(plan, s, *nicA, ".a");
-        if (nicB)
-            fault::attach(plan, s, *nicB, ".b");
-        if (atmSw)
-            fault::attach(plan, s, *atmSw);
-        if (linkA)
-            fault::attach(plan, s, *linkA, ".a");
-        if (linkB)
-            fault::attach(plan, s, *linkB, ".b");
-        if (pcaA)
-            fault::attach(plan, s, *pcaA, ".a");
-        if (pcaB)
-            fault::attach(plan, s, *pcaB, ".b");
+        net.attachFaults(plan, {".a", ".b"});
     }
 
     /**
@@ -206,121 +160,85 @@ class RawPair
     connectExtra(Endpoint &ep_a, Endpoint &ep_b, ChannelId &chan_a,
                  ChannelId &chan_b)
     {
-        if (feA) {
-            UNetFe::connect(*feA, ep_a, *feB, ep_b, chan_a, chan_b);
-        } else {
-            UNetAtm::connect(*atmA, ep_a, portA, *atmB, ep_b, portB,
-                             *signalling, chan_a, chan_b);
-        }
+        net.connect(0, ep_a, 1, ep_b, chan_a, chan_b);
     }
 
     /** The given side's NIC endpoint-residency cache. */
-    vep::ResidencyCache &
-    residency(int side)
-    {
-        if (feA)
-            return (side ? *feB : *feA).residency();
-        return (side ? *pcaB : *pcaA).residency();
-    }
+    vep::ResidencyCache &residency(int side) { return net.residency(side); }
 
-    UNet &unetOf(int side) { return side ? *unetB : *unetA; }
+    UNet &unetOf(int side) { return net.unet(side); }
     Endpoint &ep(int side) { return side ? *epB : *epA; }
     ChannelId chan(int side) const { return side ? chanB : chanA; }
-    host::Host &hostOf(int side) { return side ? *hostB : *hostA; }
+    host::Host &hostOf(int side) { return net.host(side); }
 
-    bool isAtm() const { return atmA != nullptr; }
-
-    std::size_t
-    maxMessage() const
-    {
-        // Sweep both fabrics over the same axis; the paper plots up to
-        // the FE maximum (~1.5 KB).
-        return UNetFe::maxMessage;
-    }
+    bool isAtm() const { return net.isAtm(); }
 
   private:
-    void
-    makeFe(eth::Network &net)
+    static topo::FabricKind
+    fabricKind(Fabric fabric)
     {
-        nicA = std::make_unique<nic::Dc21140>(
-            *hostA, net, eth::MacAddress::fromIndex(1));
-        nicB = std::make_unique<nic::Dc21140>(
-            *hostB, net, eth::MacAddress::fromIndex(2));
-        auto fa = std::make_unique<UNetFe>(*hostA, *nicA, opts.feSpec);
-        auto fb = std::make_unique<UNetFe>(*hostB, *nicB, opts.feSpec);
-        feA = fa.get();
-        feB = fb.get();
-        unetA = std::move(fa);
-        unetB = std::move(fb);
+        if (fabric == Fabric::FeHub)
+            return topo::FabricKind::Hub;
+        return fabric == Fabric::FeBay || fabric == Fabric::FeFn100
+                   ? topo::FabricKind::Switch
+                   : topo::FabricKind::Atm;
     }
 
-    void
-    makeAtm(atm::LinkSpec link_spec)
-    {
-        atmSw = std::make_unique<atm::Switch>(s);
-        signalling = std::make_unique<atm::Signalling>(*atmSw);
-        linkA = std::make_unique<atm::AtmLink>(s, link_spec);
-        linkB = std::make_unique<atm::AtmLink>(s, link_spec);
-        pcaA = std::make_unique<nic::Pca200>(*hostA, *linkA,
-                                             opts.pcaSpec);
-        pcaB = std::make_unique<nic::Pca200>(*hostB, *linkB,
-                                             opts.pcaSpec);
-        portA = atmSw->addPort(*linkA);
-        portB = atmSw->addPort(*linkB);
-        auto ua = std::make_unique<UNetAtm>(*hostA, *pcaA);
-        auto ub = std::make_unique<UNetAtm>(*hostB, *pcaB);
-        atmA = ua.get();
-        atmB = ub.get();
-        unetA = std::move(ua);
-        unetB = std::move(ub);
-    }
-
-    sim::Simulation &s;
-    Fabric fabric;
-    RigOptions opts;
-    std::unique_ptr<host::Host> hostA, hostB;
-    std::unique_ptr<eth::Hub> hub;
-    std::unique_ptr<eth::Switch> sw;
-    std::unique_ptr<nic::Dc21140> nicA, nicB;
-    std::unique_ptr<atm::Switch> atmSw;
-    std::unique_ptr<atm::Signalling> signalling;
-    std::unique_ptr<atm::AtmLink> linkA, linkB;
-    std::unique_ptr<nic::Pca200> pcaA, pcaB;
-    std::unique_ptr<UNet> unetA, unetB;
-    UNetFe *feA = nullptr;
-    UNetFe *feB = nullptr;
-    UNetAtm *atmA = nullptr;
-    UNetAtm *atmB = nullptr;
-    std::size_t portA = 0, portB = 0;
+    topo::Net net;
     Endpoint *epA = nullptr;
     Endpoint *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
 };
 
 /**
- * Compose and post one raw U-Net message of @p size bytes.
+ * One raw U-Net message of @p size bytes: inline when it fits, else
+ * one buffer-area fragment at @p tx_buf_offset.
  *
  * @p force_fragment keeps the send on the zero-copy buffer-area path
  * even for small messages — the only TX path the paper's U-Net/FE
  * has (inline sends are a U-Net/ATM single-cell feature).
  */
+inline SendDescriptor
+rawDescriptor(const UNet &un, ChannelId chan, std::size_t size,
+              std::uint32_t tx_buf_offset, bool force_fragment)
+{
+    // inlineMax() never exceeds smallMessageMax; the explicit bound
+    // lets the compiler see the span stays inside zeros.
+    static constexpr std::array<std::uint8_t, smallMessageMax> zeros{};
+    if (size <= un.inlineMax() && size <= zeros.size() && !force_fragment)
+        return inlineSend(chan, std::span(zeros).first(size));
+    return fragmentSend(chan, {tx_buf_offset,
+                               static_cast<std::uint32_t>(size)});
+}
+
+/** Compose (rawDescriptor()) and post one raw U-Net message. */
 inline bool
 rawSend(UNet &un, sim::Process &proc, Endpoint &ep, ChannelId chan,
         std::size_t size, std::uint32_t tx_buf_offset,
         bool force_fragment = false)
 {
-    SendDescriptor sd;
-    sd.channel = chan;
-    if (size <= un.inlineMax() && !force_fragment) {
-        sd.isInline = true;
-        sd.inlineLength = static_cast<std::uint32_t>(size);
-    } else {
-        sd.isInline = false;
-        sd.fragmentCount = 1;
-        sd.fragments[0] = {tx_buf_offset,
-                           static_cast<std::uint32_t>(size)};
-    }
-    return un.send(proc, ep, sd);
+    return un.send(proc, ep,
+                   rawDescriptor(un, chan, size, tx_buf_offset,
+                                 force_fragment));
+}
+
+/** Post @p n 2 KB receive buffers from the start of @p ep's buffer
+ *  area. */
+inline void
+postRecvBuffers(UNet &un, sim::Process &proc, Endpoint &ep, int n)
+{
+    for (int i = 0; i < n; ++i)
+        un.postFree(proc, ep, {static_cast<std::uint32_t>(i * 2048), 2048});
+}
+
+/** Hand the 2 KB buffers message @p rd landed in back to @p ep. */
+inline void
+recycleBuffers(UNet &un, sim::Process &proc, Endpoint &ep,
+               const RecvDescriptor &rd)
+{
+    if (!rd.isSmall)
+        for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
+            un.postFree(proc, ep, {rd.buffers[i].offset, 2048});
 }
 
 /**
@@ -342,10 +260,7 @@ roundTripUs(Fabric fabric, std::size_t size, int rounds = 8,
         auto &un = rig.unetOf(1);
         auto &ep = rig.ep(1);
         // Receive buffers for the non-inline path.
-        for (int i = 0; i < 8; ++i)
-            un.postFree(self, ep, {static_cast<std::uint32_t>(
-                                       i * 2048),
-                                   2048});
+        postRecvBuffers(un, self, ep, 8);
         auto &cpu = rig.hostOf(1).cpu();
         RecvDescriptor rd;
         for (int r = 0; r < rounds + 1; ++r) {
@@ -354,10 +269,7 @@ roundTripUs(Fabric fabric, std::size_t size, int rounds = 8,
             // The application examines the message and composes the
             // reply in its buffer area: two real memcpys.
             cpu.busy(self, cpu.spec().memcpyTime(size));
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep,
-                                {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
             cpu.busy(self, cpu.spec().memcpyTime(size));
             rawSend(un, self, ep, rig.chan(1), size, 16384,
                     !rig.isAtm());
@@ -368,10 +280,7 @@ roundTripUs(Fabric fabric, std::size_t size, int rounds = 8,
     sim::Process ping(s, "ping", [&](sim::Process &self) {
         auto &un = rig.unetOf(0);
         auto &ep = rig.ep(0);
-        for (int i = 0; i < 8; ++i)
-            un.postFree(self, ep, {static_cast<std::uint32_t>(
-                                       i * 2048),
-                                   2048});
+        postRecvBuffers(un, self, ep, 8);
         auto &cpu = rig.hostOf(0).cpu();
         RecvDescriptor rd;
         for (int r = 0; r < rounds + 1; ++r) {
@@ -383,10 +292,7 @@ roundTripUs(Fabric fabric, std::size_t size, int rounds = 8,
             un.flush(self, ep);
             if (!ep.wait(self, rd, sim::seconds(1)))
                 return;
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep,
-                                {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
             if (r > 0) { // skip warmup
                 total_us += sim::toMicroseconds(s.now() - t0);
                 ++measured;
@@ -429,16 +335,8 @@ roundTripTracedUs(
     auto sendTraced = [&](UNet &un, sim::Process &self, Endpoint &ep,
                           ChannelId chan, sim::Tick handoff,
                           std::string_view app_track) {
-        SendDescriptor sd;
-        sd.channel = chan;
-        if (size <= un.inlineMax() && rig.isAtm()) {
-            sd.isInline = true;
-            sd.inlineLength = static_cast<std::uint32_t>(size);
-        } else {
-            sd.isInline = false;
-            sd.fragmentCount = 1;
-            sd.fragments[0] = {16384, static_cast<std::uint32_t>(size)};
-        }
+        SendDescriptor sd =
+            rawDescriptor(un, chan, size, 16384, !rig.isAtm());
         auto *tr = s.trace();
         tr->begin(sd.trace, handoff);
         // Application turnaround, from the previous custody end to this
@@ -450,9 +348,7 @@ roundTripTracedUs(
     sim::Process echo(s, "echo", [&](sim::Process &self) {
         auto &un = rig.unetOf(1);
         auto &ep = rig.ep(1);
-        for (int i = 0; i < 8; ++i)
-            un.postFree(self, ep,
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(un, self, ep, 8);
         auto &cpu = rig.hostOf(1).cpu();
         RecvDescriptor rd;
         for (int r = 0; r < rounds + 1; ++r) {
@@ -460,9 +356,7 @@ roundTripTracedUs(
                 return;
             sim::Tick consumed = s.now();
             cpu.busy(self, cpu.spec().memcpyTime(size));
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep, {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
             cpu.busy(self, cpu.spec().memcpyTime(size));
             sendTraced(un, self, ep, rig.chan(1), consumed, "B.app");
             un.flush(self, ep);
@@ -472,9 +366,7 @@ roundTripTracedUs(
     sim::Process ping(s, "ping", [&](sim::Process &self) {
         auto &un = rig.unetOf(0);
         auto &ep = rig.ep(0);
-        for (int i = 0; i < 8; ++i)
-            un.postFree(self, ep,
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(un, self, ep, 8);
         auto &cpu = rig.hostOf(0).cpu();
         RecvDescriptor rd;
         for (int r = 0; r < rounds + 1; ++r) {
@@ -489,9 +381,7 @@ roundTripTracedUs(
                 total_us += sim::toMicroseconds(s.now() - t0);
                 ++measured;
             }
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep, {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
         }
     });
 
@@ -524,10 +414,7 @@ bandwidthMbps(Fabric fabric, std::size_t size, int messages = 400,
     sim::Process sink(s, "sink", [&](sim::Process &self) {
         auto &un = rig.unetOf(1);
         auto &ep = rig.ep(1);
-        for (int i = 0; i < 24; ++i)
-            un.postFree(self, ep, {static_cast<std::uint32_t>(
-                                       i * 2048),
-                                   2048});
+        postRecvBuffers(un, self, ep, 24);
         RecvDescriptor rd;
         while (delivered < messages) {
             if (!ep.wait(self, rd, sim::milliseconds(200)))
@@ -536,10 +423,7 @@ bandwidthMbps(Fabric fabric, std::size_t size, int messages = 400,
                 first_arrival = s.now();
             last_arrival = s.now();
             ++delivered;
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep,
-                                {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
         }
     });
 
@@ -629,6 +513,43 @@ class Sweep
     std::vector<std::size_t> _xs;
     std::vector<std::vector<double>> _series;
 };
+
+/** One gate row of a unet-bench-v1 file (tools/bench_compare.py). */
+struct BenchRow
+{
+    std::string name;
+    double value;
+    const char *unit;
+    bool lowerIsBetter = true;
+    /** printf precision of the value. */
+    int decimals = 1;
+};
+
+/** Write @p rows to @p path as unet-bench-v1 JSON. @return false,
+ *  after a message on stderr, when the file cannot be written. */
+inline bool
+writeBenchJson(const char *path, const std::vector<BenchRow> &rows)
+{
+    std::FILE *out = std::fopen(path, "w");
+    if (!out) {
+        std::fprintf(stderr, "cannot write %s\n", path);
+        return false;
+    }
+    std::fprintf(out, "{\n  \"format\": \"unet-bench-v1\",\n"
+                      "  \"benchmarks\": [\n");
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        std::fprintf(out,
+                     "    {\"name\": \"%s\", \"value\": %.*f, "
+                     "\"unit\": \"%s\", \"lower_is_better\": %s}%s\n",
+                     rows[i].name.c_str(), rows[i].decimals,
+                     rows[i].value, rows[i].unit,
+                     rows[i].lowerIsBetter ? "true" : "false",
+                     i + 1 < rows.size() ? "," : "");
+    std::fprintf(out, "  ]\n}\n");
+    std::fclose(out);
+    std::printf("wrote %s\n", path);
+    return true;
+}
 
 /** printf-style row helper. */
 inline void

@@ -49,9 +49,7 @@ overheadPerMessageNs(Fabric fabric, std::size_t batch)
     sim::Process sink(s, "sink", [&](sim::Process &self) {
         auto &un = rig.unetOf(1);
         auto &ep = rig.ep(1);
-        for (int i = 0; i < 32; ++i)
-            un.postFree(self, ep,
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(un, self, ep, 32);
         RecvDescriptor rd[64];
         while (delivered < kMessages) {
             RecvDescriptor first;
@@ -141,12 +139,7 @@ main(int argc, char **argv)
     const char *out_path = argc > 1 ? argv[1] : "BENCH_micro_batch.json";
 
     const std::size_t batches[] = {1, 4, 16, 64};
-    struct Row
-    {
-        std::string name;
-        double ns;
-    };
-    std::vector<Row> rows;
+    std::vector<BenchRow> rows;
 
     std::printf("per-message sender overhead (simulated ns) vs batch "
                 "size, %d x %zu-byte messages\n",
@@ -161,27 +154,11 @@ main(int argc, char **argv)
             return 1;
         }
         rows.push_back({"fe_overhead_per_msg_batch" + std::to_string(b),
-                        fe});
+                        fe, "ns"});
         rows.push_back({"atm_overhead_per_msg_batch" +
                             std::to_string(b),
-                        atm});
+                        atm, "ns"});
     }
 
-    std::FILE *out = std::fopen(out_path, "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path);
-        return 1;
-    }
-    std::fprintf(out, "{\n  \"format\": \"unet-bench-v1\",\n"
-                      "  \"benchmarks\": [\n");
-    for (std::size_t i = 0; i < rows.size(); ++i)
-        std::fprintf(out,
-                     "    {\"name\": \"%s\", \"value\": %.1f, "
-                     "\"unit\": \"ns\", \"lower_is_better\": true}%s\n",
-                     rows[i].name.c_str(), rows[i].ns,
-                     i + 1 < rows.size() ? "," : "");
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path);
-    return 0;
+    return writeBenchJson(out_path, rows) ? 0 : 1;
 }

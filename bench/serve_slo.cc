@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/harness.hh"
 #include "obs/digest.hh"
 #include "serve/rig.hh"
 
@@ -228,37 +229,16 @@ main(int argc, char **argv)
 
     // Gate rows: every point's latency quantiles (lower is better)
     // and goodput (higher is better).
-    std::FILE *out = std::fopen(out_path, "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", out_path);
+    std::vector<bench::BenchRow> rows;
+    for (const Point &p : points) {
+        rows.push_back({p.name + "_p50_us", p.r.p50Us, "us"});
+        rows.push_back({p.name + "_p99_us", p.r.p99Us, "us"});
+        rows.push_back({p.name + "_p999_us", p.r.p999Us, "us"});
+        rows.push_back(
+            {p.name + "_goodput_rps", p.r.goodputRps, "rps", false, 0});
+    }
+    if (!bench::writeBenchJson(out_path, rows))
         return 1;
-    }
-    std::fprintf(out, "{\n  \"format\": \"unet-bench-v1\",\n"
-                      "  \"benchmarks\": [\n");
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        std::fprintf(out,
-                     "    {\"name\": \"%s_p50_us\", \"value\": %.1f, "
-                     "\"unit\": \"us\", \"lower_is_better\": true},\n",
-                     p.name.c_str(), p.r.p50Us);
-        std::fprintf(out,
-                     "    {\"name\": \"%s_p99_us\", \"value\": %.1f, "
-                     "\"unit\": \"us\", \"lower_is_better\": true},\n",
-                     p.name.c_str(), p.r.p99Us);
-        std::fprintf(out,
-                     "    {\"name\": \"%s_p999_us\", \"value\": %.1f, "
-                     "\"unit\": \"us\", \"lower_is_better\": true},\n",
-                     p.name.c_str(), p.r.p999Us);
-        std::fprintf(
-            out,
-            "    {\"name\": \"%s_goodput_rps\", \"value\": %.0f, "
-            "\"unit\": \"rps\", \"lower_is_better\": false}%s\n",
-            p.name.c_str(), p.r.goodputRps,
-            i + 1 < points.size() ? "," : "");
-    }
-    std::fprintf(out, "  ]\n}\n");
-    std::fclose(out);
-    std::printf("wrote %s\n", out_path);
 
     if (curves_path) {
         std::FILE *cf = std::fopen(curves_path, "w");

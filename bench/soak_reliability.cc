@@ -25,17 +25,28 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "am/active_messages.hh"
 #include "bench/harness.hh"
-#include "tests/unet/fixtures.hh"
+#include "fault/attach.hh"
 
 using namespace unet;
 using namespace unet::am;
 using namespace unet::bench;
-using namespace unet::test;
+using topo::FeNode;
 
 namespace {
+
+/** A recognizable payload. */
+std::vector<std::uint8_t>
+pattern(std::size_t n, std::uint8_t seed = 1)
+{
+    std::vector<std::uint8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<std::uint8_t>(seed + i * 7);
+    return v;
+}
 
 struct SoakResult
 {
@@ -182,14 +193,14 @@ atmSoak(std::uint64_t seed, const std::string &scenario,
         const ObsOutputs *outs)
 {
     sim::Simulation s(seed);
-    AtmStar star(s, 2);
+    topo::Net star(s, topo::FabricKind::Atm);
+    star.add("node0");
+    star.add("node1");
 
     fault::Plan plan = fault::Plan::parse(scenario);
     if (plan.seed() == 1)
         plan.setSeed(seed);
-    fault::attach(plan, s, star[0].link, ".a");
-    fault::attach(plan, s, star[1].link, ".b");
-    fault::attach(plan, s, star.sw);
+    star.attachFaults(plan, {".a", ".b"});
 
     Endpoint *epA = nullptr, *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
@@ -220,15 +231,13 @@ atmSoak(std::uint64_t seed, const std::string &scenario,
         drain_ok = amA->drain(proc, sim::seconds(10));
     });
 
-    epA = &star[0].unet.createEndpoint(&procA, {});
-    epB = &star[1].unet.createEndpoint(&procB, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA,
-                     chanB);
+    epA = &star.unet(0).createEndpoint(&procA, {});
+    epB = &star.unet(1).createEndpoint(&procB, {});
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
     AmSpec spec;
     spec.bulkMtu = 1024; // ~22 cells/fragment: survivable under bursts
-    amA = std::make_unique<ActiveMessages>(star[0].unet, *epA, spec);
-    amB = std::make_unique<ActiveMessages>(star[1].unet, *epB, spec);
+    amA = std::make_unique<ActiveMessages>(star.unet(0), *epA, spec);
+    amB = std::make_unique<ActiveMessages>(star.unet(1), *epB, spec);
     amA->openChannel(chanA);
     amB->openChannel(chanB);
     procA.start();
@@ -248,7 +257,7 @@ atmSoak(std::uint64_t seed, const std::string &scenario,
     r.sent = amA->sent() + amB->sent();
     r.retransmits = amA->retransmits() + amB->retransmits();
     r.checksumDrops =
-        star[0].nic.crcDrops() + star[1].nic.crcDrops();
+        star.atm(0).nic.crcDrops() + star.atm(1).nic.crcDrops();
     tallyPlan(plan, r);
     // AAL5 counts one drop per failed PDU; each failed PDU implies at
     // least one destroyed cell.

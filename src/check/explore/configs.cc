@@ -52,43 +52,13 @@
 #include "fault/attach.hh"
 #include "fault/fault.hh"
 #include "sim/logging.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topo.hh"
 
 namespace unet::check::explore {
 
 namespace {
 
-/** One Fast Ethernet node: host + DC21140 + in-kernel U-Net. */
-struct FeNodeRig
-{
-    FeNodeRig(sim::Simulation &s, eth::Network &net, int index,
-              UNetFeSpec fe_spec = {})
-        : host(s, "node" + std::to_string(index),
-               host::CpuSpec::pentium120(), host::BusSpec::pci()),
-          nic(host, net,
-              eth::MacAddress::fromIndex(
-                  static_cast<std::uint32_t>(index + 1))),
-          unet(host, nic, fe_spec)
-    {}
-
-    host::Host host;
-    nic::Dc21140 nic;
-    UNetFe unet;
-};
-
-/** Post one single-fragment send (the only TX path U-Net/FE has). */
-bool
-sendFragment(UNet &un, sim::Process &proc, Endpoint &ep,
-             ChannelId chan, std::uint32_t offset, std::uint32_t len)
-{
-    SendDescriptor sd;
-    sd.channel = chan;
-    sd.isInline = false;
-    sd.fragmentCount = 1;
-    sd.fragments[0] = {offset, len};
-    return un.send(proc, ep, sd);
-}
+using topo::FeNode;
 
 /** Mix an endpoint's externally visible queue state. */
 void
@@ -191,8 +161,8 @@ class Fig5Instance : public ConfigInstance
     {
         RecvDescriptor rd;
         for (int r = 0; r < rounds; ++r) {
-            if (!sendFragment(a.unet, self, *epA, chanA, 16384,
-                              length(r)))
+            if (!a.unet.send(self, *epA,
+                             fragmentSend(chanA, {16384, length(r)})))
                 UNET_PANIC("fig5: ping send ", r, " refused");
             a.unet.flush(self, *epA);
             if (!epA->wait(self, rd, sim::seconds(1)))
@@ -209,8 +179,8 @@ class Fig5Instance : public ConfigInstance
             if (!epB->wait(self, rd, sim::seconds(1)))
                 UNET_PANIC("fig5: echo timed out in round ", r);
             echoSeen.push_back(rd.length);
-            if (!sendFragment(b.unet, self, *epB, chanB, 16384,
-                              rd.length))
+            if (!b.unet.send(self, *epB,
+                             fragmentSend(chanB, {16384, rd.length})))
                 UNET_PANIC("fig5: echo send ", r, " refused");
             b.unet.flush(self, *epB);
         }
@@ -218,7 +188,7 @@ class Fig5Instance : public ConfigInstance
 
     sim::Simulation s;
     eth::Hub hub;
-    FeNodeRig a, b;
+    FeNode a, b;
     sim::Process ping, echo;
     Endpoint *epA = nullptr;
     Endpoint *epB = nullptr;
@@ -361,7 +331,7 @@ class RetransmitInstance : public ConfigInstance
 
     sim::Simulation s;
     eth::FullDuplexLink link;
-    FeNodeRig a, b;
+    FeNode a, b;
     sim::Process procA, procB;
     Endpoint *epA = nullptr;
     Endpoint *epB = nullptr;
@@ -399,7 +369,7 @@ class DemuxInstance : public ConfigInstance
         cfg.freeQueueDepth = 8;
         cfg.bufferAreaBytes = 16 * 1024;
         for (int i = 0; i < lanes; ++i) {
-            nodes.push_back(std::make_unique<FeNodeRig>(s, sw, i));
+            nodes.push_back(std::make_unique<FeNode>(s, sw, i));
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
@@ -468,17 +438,17 @@ class DemuxInstance : public ConfigInstance
     {
         UNetFe &un = nodes[static_cast<std::size_t>(i)]->unet;
         Endpoint &ep = *epA[static_cast<std::size_t>(i)];
-        if (!sendFragment(un, self, ep,
-                          chans[static_cast<std::size_t>(i)], 0,
-                          length(i)))
+        if (!un.send(self, ep,
+                     fragmentSend(chans[static_cast<std::size_t>(i)],
+                                  {0, length(i)})))
             UNET_PANIC("demux: sender ", i, " refused");
         un.flush(self, ep);
     }
 
     sim::Simulation s;
     eth::Switch sw;
-    FeNodeRig b;
-    std::vector<std::unique_ptr<FeNodeRig>> nodes;
+    FeNode b;
+    std::vector<std::unique_ptr<FeNode>> nodes;
     std::vector<std::unique_ptr<sim::Process>> senders;
     std::vector<Endpoint *> epA, epB;
     std::vector<ChannelId> chans;
@@ -921,7 +891,7 @@ class UpcallInstance : public ConfigInstance
             },
             sim::microseconds(5));
         for (int i = 0; i < lanes; ++i) {
-            nodes.push_back(std::make_unique<FeNodeRig>(s, sw, i));
+            nodes.push_back(std::make_unique<FeNode>(s, sw, i));
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
@@ -999,9 +969,9 @@ class UpcallInstance : public ConfigInstance
         for (std::uint32_t k = 0; k < messages; ++k) {
             // Distinct gather regions: the first frame's buffer stays
             // agent-owned until it leaves the NIC.
-            if (!sendFragment(un, self, ep,
-                              chans[static_cast<std::size_t>(i)],
-                              k * 4096, length(i, k)))
+            if (!un.send(self, ep,
+                         fragmentSend(chans[static_cast<std::size_t>(i)],
+                                      {k * 4096, length(i, k)})))
                 UNET_PANIC("upcall: sender ", i, " send ", k,
                            " refused");
             un.flush(self, ep);
@@ -1010,8 +980,8 @@ class UpcallInstance : public ConfigInstance
 
     sim::Simulation s;
     eth::Switch sw;
-    FeNodeRig b;
-    std::vector<std::unique_ptr<FeNodeRig>> nodes;
+    FeNode b;
+    std::vector<std::unique_ptr<FeNode>> nodes;
     std::vector<std::unique_ptr<sim::Process>> senders;
     std::vector<Endpoint *> epA;
     Endpoint *epB = nullptr;
@@ -1068,7 +1038,7 @@ class EpEvictInstance : public ConfigInstance
         UNetFe::connect(b.unet, *epB[0], c.unet, *epC, chanBee,
                         chanAtC);
         for (int i = 0; i < lanes; ++i) {
-            nodes.push_back(std::make_unique<FeNodeRig>(s, sw, i));
+            nodes.push_back(std::make_unique<FeNode>(s, sw, i));
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
@@ -1165,19 +1135,19 @@ class EpEvictInstance : public ConfigInstance
     }
 
   private:
-    static UNetFeSpec
+    static topo::NodeSpec
     receiverSpec()
     {
-        UNetFeSpec spec;
-        spec.vep.hotCapacity = hotCapacity;
+        topo::NodeSpec spec;
+        spec.fe.vep.hotCapacity = hotCapacity;
         return spec;
     }
 
     void
     beeBody(sim::Process &self)
     {
-        if (!sendFragment(b.unet, self, *epB[0], chanBee, 0,
-                          beeLength))
+        if (!b.unet.send(self, *epB[0],
+                         fragmentSend(chanBee, {0, beeLength})))
             UNET_PANIC("ep-evict: bee send refused");
         b.unet.flush(self, *epB[0]);
     }
@@ -1187,18 +1157,18 @@ class EpEvictInstance : public ConfigInstance
     {
         UNetFe &un = nodes[static_cast<std::size_t>(i)]->unet;
         Endpoint &ep = *epA[static_cast<std::size_t>(i)];
-        if (!sendFragment(un, self, ep,
-                          chans[static_cast<std::size_t>(i)], 0,
-                          length(i)))
+        if (!un.send(self, ep,
+                     fragmentSend(chans[static_cast<std::size_t>(i)],
+                                  {0, length(i)})))
             UNET_PANIC("ep-evict: sender ", i, " refused");
         un.flush(self, ep);
     }
 
     sim::Simulation s;
     eth::Switch sw;
-    FeNodeRig b, c;
+    FeNode b, c;
     sim::Process bee;
-    std::vector<std::unique_ptr<FeNodeRig>> nodes;
+    std::vector<std::unique_ptr<FeNode>> nodes;
     std::vector<std::unique_ptr<sim::Process>> senders;
     std::vector<Endpoint *> epA, epB;
     Endpoint *epC = nullptr;

@@ -24,6 +24,18 @@
 #include "check/hb/topos.hh"
 #include "sim/perturb.hh"
 
+#if !defined(UNET_CHECK) || !UNET_CHECK
+
+int
+main()
+{
+    std::cerr << "unet-hb: this build has UNET_CHECK disabled; "
+                 "reconfigure with -DUNET_CHECK=ON\n";
+    return 2;
+}
+
+#else
+
 namespace hb = unet::check::hb;
 
 namespace {
@@ -65,13 +77,6 @@ printSite(const hb::AccessSite &site, const std::string &domain)
 int
 main(int argc, char **argv)
 {
-#if !defined(UNET_CHECK) || !UNET_CHECK
-    (void)argc;
-    (void)argv;
-    std::cerr << "unet-hb: this build has UNET_CHECK disabled; "
-                 "reconfigure with -DUNET_CHECK=ON\n";
-    return 2;
-#else
     std::string topoName;
     std::string reportPath;
     bool verbose = false;
@@ -182,5 +187,6 @@ main(int argc, char **argv)
                   << " unet-hb " << topoName << "\n";
     }
     return 1;
-#endif
 }
+
+#endif // UNET_CHECK

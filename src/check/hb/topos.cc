@@ -5,48 +5,14 @@
 
 #include "am/active_messages.hh"
 #include "check/hb/report.hh"
-#include "eth/hub.hh"
-#include "eth/link.hh"
-#include "fault/attach.hh"
-#include "fault/fault.hh"
 #include "serve/rig.hh"
 #include "sim/logging.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topo.hh"
 #include "unet/vep/vep.hh"
 
 namespace unet::check::hb {
 
 namespace {
-
-/** One Fast Ethernet node: host + DC21140 + in-kernel U-Net. */
-struct FeNode
-{
-    FeNode(sim::Simulation &s, eth::Network &net, int index)
-        : host(s, "node" + std::to_string(index),
-               host::CpuSpec::pentium120(), host::BusSpec::pci()),
-          nic(host, net,
-              eth::MacAddress::fromIndex(
-                  static_cast<std::uint32_t>(index + 1))),
-          unet(host, nic, {})
-    {}
-
-    host::Host host;
-    nic::Dc21140 nic;
-    UNetFe unet;
-};
-
-/** Post one single-fragment send on the U-Net/FE TX path. */
-bool
-postSend(UNet &un, sim::Process &proc, Endpoint &ep, ChannelId chan,
-         std::uint32_t offset, std::uint32_t len)
-{
-    SendDescriptor sd;
-    sd.channel = chan;
-    sd.isInline = false;
-    sd.fragmentCount = 1;
-    sd.fragments[0] = {offset, len};
-    return un.send(proc, ep, sd);
-}
 
 EndpointConfig
 smallEndpoint()
@@ -81,17 +47,19 @@ runFig5()
 {
     constexpr int rounds = 2;
     sim::Simulation s;
-    eth::Hub hub(s);
-    FeNode a(s, hub, 0), b(s, hub, 1);
+    topo::Net net(s, topo::FabricKind::Hub);
+    net.add("node0");
+    net.add("node1");
+    UNet &a = net.unet(0), &b = net.unet(1);
     Endpoint *epA = nullptr, *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
 
     sim::Process ping(s, "ping", [&](sim::Process &self) {
         RecvDescriptor rd;
         for (int r = 0; r < rounds; ++r) {
-            if (!postSend(a.unet, self, *epA, chanA, 16384, 48))
+            if (!a.send(self, *epA, fragmentSend(chanA, {16384, 48})))
                 UNET_PANIC("hb fig5: ping send refused");
-            a.unet.flush(self, *epA);
+            a.flush(self, *epA);
             if (!epA->wait(self, rd, sim::seconds(1)))
                 UNET_PANIC("hb fig5: ping timed out");
         }
@@ -101,18 +69,18 @@ runFig5()
         for (int r = 0; r < rounds; ++r) {
             if (!epB->wait(self, rd, sim::seconds(1)))
                 UNET_PANIC("hb fig5: echo timed out");
-            if (!postSend(b.unet, self, *epB, chanB, 16384,
-                          rd.length))
+            if (!b.send(self, *epB,
+                        fragmentSend(chanB, {16384, rd.length})))
                 UNET_PANIC("hb fig5: echo send refused");
-            b.unet.flush(self, *epB);
+            b.flush(self, *epB);
         }
     });
-    ping.bindShardDomain(a.host.name());
-    echo.bindShardDomain(b.host.name());
+    ping.bindShardDomain(net.host(0).name());
+    echo.bindShardDomain(net.host(1).name());
 
-    epA = &a.unet.createEndpoint(&ping, smallEndpoint());
-    epB = &b.unet.createEndpoint(&echo, smallEndpoint());
-    UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+    epA = &a.createEndpoint(&ping, smallEndpoint());
+    epB = &b.createEndpoint(&echo, smallEndpoint());
+    net.connect(0, *epA, 1, *epB, chanA, chanB);
 
     Auditor auditor(s);
     echo.start();
@@ -134,8 +102,9 @@ runFault()
 {
     static constexpr std::uint32_t messages = 3;
     sim::Simulation s;
-    eth::FullDuplexLink link(s);
-    FeNode a(s, link, 0), b(s, link, 1);
+    topo::Net net(s, topo::FabricKind::Link);
+    net.add("node0");
+    net.add("node1");
     Endpoint *epA = nullptr, *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
     std::unique_ptr<am::ActiveMessages> amA, amB;
@@ -161,20 +130,20 @@ runFault()
     };
     sim::Process procA(s, "A", [&](sim::Process &p) { body(p, 0); });
     sim::Process procB(s, "B", [&](sim::Process &p) { body(p, 1); });
-    procA.bindShardDomain(a.host.name());
-    procB.bindShardDomain(b.host.name());
+    procA.bindShardDomain(net.host(0).name());
+    procB.bindShardDomain(net.host(1).name());
 
     EndpointConfig cfg = smallEndpoint();
     cfg.sendQueueDepth = 16;
     cfg.recvQueueDepth = 16;
     cfg.freeQueueDepth = 16;
     cfg.bufferAreaBytes = 64 * 1024;
-    epA = &a.unet.createEndpoint(&procA, cfg);
-    epB = &b.unet.createEndpoint(&procB, cfg);
-    UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+    epA = &net.unet(0).createEndpoint(&procA, cfg);
+    epB = &net.unet(1).createEndpoint(&procB, cfg);
+    net.connect(0, *epA, 1, *epB, chanA, chanB);
 
-    amA = std::make_unique<am::ActiveMessages>(a.unet, *epA);
-    amB = std::make_unique<am::ActiveMessages>(b.unet, *epB);
+    amA = std::make_unique<am::ActiveMessages>(net.unet(0), *epA);
+    amB = std::make_unique<am::ActiveMessages>(net.unet(1), *epB);
     amA->openChannel(chanA);
     amB->openChannel(chanB);
     amA->setHandler(
@@ -192,7 +161,7 @@ runFault()
     // dropped. Declared before attach, destroyed after the sim.
     fault::Plan plan;
     plan.model("eth.link.0").dropUnits = {1, 2};
-    fault::attach(plan, s, link);
+    net.attachFaults(plan, {".a", ".b"});
 
     Auditor auditor(s);
     procA.start(sim::microseconds(5));
@@ -273,16 +242,18 @@ TopoResult
 runPlantedRw()
 {
     sim::Simulation s;
-    eth::Hub hub(s);
-    FeNode a(s, hub, 0), b(s, hub, 1);
+    topo::Net net(s, topo::FabricKind::Hub);
+    net.add("node0");
+    net.add("node1");
+    UNet &a = net.unet(0), &b = net.unet(1);
     Endpoint *epA = nullptr, *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
 
     sim::Process ping(s, "ping", [&](sim::Process &self) {
         RecvDescriptor rd;
-        if (!postSend(a.unet, self, *epA, chanA, 16384, 48))
+        if (!a.send(self, *epA, fragmentSend(chanA, {16384, 48})))
             UNET_PANIC("hb planted-rw: send refused");
-        a.unet.flush(self, *epA);
+        a.flush(self, *epA);
         if (!epA->wait(self, rd, sim::seconds(1)))
             UNET_PANIC("hb planted-rw: ping timed out");
     });
@@ -290,9 +261,9 @@ runPlantedRw()
         RecvDescriptor rd;
         if (!epB->wait(self, rd, sim::seconds(1)))
             UNET_PANIC("hb planted-rw: echo timed out");
-        if (!postSend(b.unet, self, *epB, chanB, 16384, rd.length))
+        if (!b.send(self, *epB, fragmentSend(chanB, {16384, rd.length})))
             UNET_PANIC("hb planted-rw: echo send refused");
-        b.unet.flush(self, *epB);
+        b.flush(self, *epB);
     });
     // The monitor belongs to a different shard and reads the ring
     // without any ordering edge to node0's writes (its start event
@@ -303,13 +274,13 @@ runPlantedRw()
         // hb planted: unordered cross-shard read of node0's send ring
         epA->sendGuard().observe("spy ring peek");
     });
-    ping.bindShardDomain(a.host.name());
-    echo.bindShardDomain(b.host.name());
+    ping.bindShardDomain(net.host(0).name());
+    echo.bindShardDomain(net.host(1).name());
     spy.bindShardDomain("monitor");
 
-    epA = &a.unet.createEndpoint(&ping, smallEndpoint());
-    epB = &b.unet.createEndpoint(&echo, smallEndpoint());
-    UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+    epA = &a.createEndpoint(&ping, smallEndpoint());
+    epB = &b.createEndpoint(&echo, smallEndpoint());
+    net.connect(0, *epA, 1, *epB, chanA, chanB);
 
     Auditor auditor(s);
     echo.start();

@@ -43,76 +43,38 @@ Config::atmSplitC(int nodes, bool paper_hosts)
     return c;
 }
 
-Config
-Config::atmPca200(int nodes)
+namespace {
+
+topo::FabricKind
+fabricOf(NetKind kind)
 {
-    Config c;
-    c.net = NetKind::Atm;
-    c.nodes = nodes;
-    c.bus = host::BusSpec::pci();
-    c.atmLink = atm::LinkSpec::oc3();
-    c.cpus = {host::CpuSpec::pentium120()};
-    return c;
+    if (kind == NetKind::Atm)
+        return topo::FabricKind::Atm;
+    return kind == NetKind::FeHub ? topo::FabricKind::Hub
+                                  : topo::FabricKind::Switch;
 }
 
+} // namespace
+
 Cluster::Cluster(sim::Simulation &sim, Config cfg)
-    : sim(sim), config(std::move(cfg))
+    : sim(sim), config(std::move(cfg)),
+      net(sim, fabricOf(config.net),
+          config.net == NetKind::FeFn100 ? eth::SwitchSpec::fn100()
+                                         : eth::SwitchSpec::bay28115())
 {
     if (config.nodes < 1)
         UNET_FATAL("cluster needs at least one node");
     if (config.cpus.empty())
         UNET_FATAL("cluster config has no CPU specs");
 
-    // Fabric first.
-    eth::Network *fe_net = nullptr;
-    switch (config.net) {
-      case NetKind::FeHub:
-        hub = std::make_unique<eth::Hub>(sim, config.hub);
-        fe_net = hub.get();
-        break;
-      case NetKind::FeBay28115:
-        ethSwitch = std::make_unique<eth::Switch>(
-            sim, eth::SwitchSpec::bay28115());
-        fe_net = ethSwitch.get();
-        break;
-      case NetKind::FeFn100:
-        ethSwitch = std::make_unique<eth::Switch>(
-            sim, eth::SwitchSpec::fn100());
-        fe_net = ethSwitch.get();
-        break;
-      case NetKind::Atm:
-        atmSwitch = std::make_unique<atm::Switch>(sim,
-                                                  config.atmSwitch);
-        signalling = std::make_unique<atm::Signalling>(*atmSwitch);
-        break;
-    }
-
-    // Nodes.
     for (int i = 0; i < config.nodes; ++i) {
-        auto node = std::make_unique<Node>();
-        const host::CpuSpec &cpu =
-            config.cpus[std::min<std::size_t>(
-                static_cast<std::size_t>(i), config.cpus.size() - 1)];
-        node->host = std::make_unique<host::Host>(
-            sim, "node" + std::to_string(i), cpu, config.bus);
-
-        if (config.net == NetKind::Atm) {
-            node->link = std::make_unique<atm::AtmLink>(
-                sim, config.atmLink);
-            node->nicAtm = std::make_unique<nic::Pca200>(
-                *node->host, *node->link);
-            atmPorts.push_back(atmSwitch->addPort(*node->link));
-            node->unet = std::make_unique<UNetAtm>(*node->host,
-                                                   *node->nicAtm);
-        } else {
-            node->nicFe = std::make_unique<nic::Dc21140>(
-                *node->host, *fe_net,
-                eth::MacAddress::fromIndex(
-                    static_cast<std::uint32_t>(i + 1)));
-            node->unet = std::make_unique<UNetFe>(*node->host,
-                                                  *node->nicFe);
-        }
-        nodes.push_back(std::move(node));
+        topo::NodeSpec node;
+        node.cpu = config.cpus[std::min<std::size_t>(
+            static_cast<std::size_t>(i), config.cpus.size() - 1)];
+        node.bus = config.bus;
+        node.link = config.atmLink;
+        net.add("node" + std::to_string(i), node);
+        nodes.push_back(std::make_unique<Node>());
     }
 
     // Processes (endpoint owners), endpoints, runtimes.
@@ -125,10 +87,10 @@ Cluster::Cluster(sim::Simulation &sim, Config cfg)
                 nodes[i]->finishedAt = p.simulation().now();
             },
             config.stackBytes);
-        node.endpoint = &node.unet->createEndpoint(node.proc.get(),
-                                                   config.endpoint);
+        node.endpoint = &net.unet(i).createEndpoint(node.proc.get(),
+                                                    config.endpoint);
         node.runtime = std::make_unique<splitc::Runtime>(
-            *node.unet, *node.endpoint, i, config.nodes,
+            net.unet(i), *node.endpoint, i, config.nodes,
             config.heapBytes, config.am);
         node.runtime->bindOwner(node.proc.get());
     }
@@ -137,20 +99,8 @@ Cluster::Cluster(sim::Simulation &sim, Config cfg)
     for (int i = 0; i < config.nodes; ++i) {
         for (int j = i + 1; j < config.nodes; ++j) {
             ChannelId ci = invalidChannel, cj = invalidChannel;
-            if (config.net == NetKind::Atm) {
-                UNetAtm::connect(
-                    static_cast<UNetAtm &>(*nodes[i]->unet),
-                    *nodes[i]->endpoint, atmPorts[i],
-                    static_cast<UNetAtm &>(*nodes[j]->unet),
-                    *nodes[j]->endpoint, atmPorts[j], *signalling, ci,
-                    cj);
-            } else {
-                UNetFe::connect(
-                    static_cast<UNetFe &>(*nodes[i]->unet),
-                    *nodes[i]->endpoint,
-                    static_cast<UNetFe &>(*nodes[j]->unet),
-                    *nodes[j]->endpoint, ci, cj);
-            }
+            net.connect(i, *nodes[i]->endpoint, j, *nodes[j]->endpoint,
+                        ci, cj);
             nodes[i]->runtime->setChannel(j, ci);
             nodes[j]->runtime->setChannel(i, cj);
         }

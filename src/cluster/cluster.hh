@@ -21,13 +21,8 @@
 #include <memory>
 #include <vector>
 
-#include "atm/switch.hh"
-#include "eth/hub.hh"
-#include "eth/link.hh"
-#include "eth/switch.hh"
 #include "splitc/runtime.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topo.hh"
 
 namespace unet::cluster {
 
@@ -50,8 +45,6 @@ struct Config
 
     host::BusSpec bus = host::BusSpec::pci();
     atm::LinkSpec atmLink = atm::LinkSpec::oc3();
-    atm::SwitchSpec atmSwitch = atm::SwitchSpec::asx200();
-    eth::HubSpec hub;
 
     std::size_t heapBytes = 24 * 1024 * 1024;
     EndpointConfig endpoint = deepQueues();
@@ -85,10 +78,6 @@ struct Config
     /** The paper's Split-C ATM cluster: SS20s + SS10s, SBus SBA-200,
      *  140 Mbps TAXI, ASX-200. */
     static Config atmSplitC(int nodes, bool paper_hosts = true);
-
-    /** The latency/bandwidth rig: Pentiums with PCI PCA-200s on
-     *  OC-3c. */
-    static Config atmPca200(int nodes);
 };
 
 /** A fully wired cluster. */
@@ -105,9 +94,8 @@ class Cluster
     sim::Simulation &simulation() { return sim; }
 
     splitc::Runtime &runtime(int i) { return *nodes.at(i)->runtime; }
-    host::Host &hostOf(int i) { return *nodes.at(i)->host; }
-    UNet &unetOf(int i) { return *nodes.at(i)->unet; }
-    Endpoint &endpointOf(int i) { return *nodes.at(i)->endpoint; }
+    host::Host &hostOf(int i) { return net.host(i); }
+    UNet &unetOf(int i) { return net.unet(i); }
 
     /**
      * Run @p main as an SPMD program on every node. Can be called once
@@ -118,13 +106,9 @@ class Cluster
     run(std::function<void(splitc::Runtime &, sim::Process &)> main);
 
   private:
+    /** Node i's SPMD side; its host and NIC are net's node i. */
     struct Node
     {
-        std::unique_ptr<host::Host> host;
-        std::unique_ptr<atm::AtmLink> link;   ///< ATM only
-        std::unique_ptr<nic::Dc21140> nicFe;  ///< FE only
-        std::unique_ptr<nic::Pca200> nicAtm;  ///< ATM only
-        std::unique_ptr<UNet> unet;
         Endpoint *endpoint = nullptr;
         std::unique_ptr<splitc::Runtime> runtime;
         std::unique_ptr<sim::Process> proc;
@@ -133,13 +117,7 @@ class Cluster
 
     sim::Simulation &sim;
     Config config;
-
-    // Fabric (one of these is populated).
-    std::unique_ptr<eth::Hub> hub;
-    std::unique_ptr<eth::Switch> ethSwitch;
-    std::unique_ptr<atm::Switch> atmSwitch;
-    std::unique_ptr<atm::Signalling> signalling;
-    std::vector<std::size_t> atmPorts;
+    topo::Net net;
 
     std::vector<std::unique_ptr<Node>> nodes;
     std::function<void(splitc::Runtime &, sim::Process &)> mainFn;

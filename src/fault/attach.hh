@@ -19,8 +19,12 @@
  *   nic.fe.rx         Dc21140 receive DMA (drop/corrupt only)
  *   nic.atm.rx        Pca200 receive path (drop/corrupt only)
  *
- * Multi-instance rigs pass a suffix: attach(plan, sim, link, ".a") arms
- * "eth.link.a.0" / "eth.link.a.1".
+ * The one naming rule for multi-node rigs (topo::Net::attachFaults):
+ * the fabric keeps its bare name; each node's NIC and link insert the
+ * node's tag after the component name, before any direction —
+ * attach(plan, sim, link, ".a") arms "atm.link.a.0" / "atm.link.a.1",
+ * and a DC21140 tagged ".c3" arms "nic.fe.rx.c3". The benches' RawPair
+ * tags its nodes ".a"/".b", the serving rig ".s" and ".c<i>".
  */
 
 #ifndef UNET_FAULT_ATTACH_HH

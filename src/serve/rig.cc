@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <numeric>
 
-#include "fault/attach.hh"
 #include "sim/logging.hh"
 
 namespace unet::serve {
@@ -22,10 +21,24 @@ serverEndpointConfig(int clients)
     return ep;
 }
 
+/** The paper's switch has 16 ports; serving incast wants hundreds.
+ *  Model a stacked deployment: same per-port behaviour, no port cap. */
+eth::SwitchSpec
+stackedBay()
+{
+    eth::SwitchSpec sw = eth::SwitchSpec::bay28115();
+    sw.maxPorts = 0;
+    return sw;
+}
+
 } // namespace
 
 ServeRig::ServeRig(RigSpec s)
     : spec(std::move(s)), sim(spec.seed),
+      net(sim,
+          spec.nic == NicKind::Fe ? topo::FabricKind::Switch
+                                  : topo::FabricKind::Atm,
+          stackedBay()),
       plan(spec.faults.empty() ? fault::Plan{}
                                : fault::Plan::parse(spec.faults))
 {
@@ -34,158 +47,66 @@ ServeRig::ServeRig(RigSpec s)
     if (spec.methods.empty())
         UNET_FATAL("serve rig needs at least one method");
 
-    // Fabric first.
-    if (spec.nic == NicKind::Fe) {
-        eth::SwitchSpec sw = eth::SwitchSpec::bay28115();
-        // The paper's switch has 16 ports; serving incast wants
-        // hundreds. Model a stacked deployment: same per-port
-        // behaviour, no port cap.
-        sw.maxPorts = 0;
-        ethSwitch = std::make_unique<eth::Switch>(sim, sw);
-        fault::attach(plan, sim, *ethSwitch);
-    } else {
-        atmSwitch = std::make_unique<atm::Switch>(
-            sim, atm::SwitchSpec::asx200());
-        signalling = std::make_unique<atm::Signalling>(*atmSwitch);
-        fault::attach(plan, sim, *atmSwitch);
-    }
-
-    // Server node (MAC index 1 / first switch port).
-    serverHost = std::make_unique<host::Host>(
-        sim, "server", host::CpuSpec::pentium120(),
-        host::BusSpec::pci());
-    if (spec.nic == NicKind::Fe) {
-        serverNicFe = std::make_unique<nic::Dc21140>(
-            *serverHost, *ethSwitch, eth::MacAddress::fromIndex(1));
-        serverUnet = std::make_unique<UNetFe>(*serverHost,
-                                              *serverNicFe);
-        fault::attach(plan, sim, *serverNicFe, ".s");
-    } else {
-        serverLink = std::make_unique<atm::AtmLink>(sim,
-                                                    spec.atmLink);
-        serverNicAtm = std::make_unique<nic::Pca200>(*serverHost,
-                                                     *serverLink);
-        serverUnet = std::make_unique<UNetAtm>(*serverHost,
-                                               *serverNicAtm);
-        fault::attach(plan, sim, *serverLink, ".s");
-    }
-
-    // Client nodes.
+    // The server is node 0, client i node i + 1.
+    topo::NodeSpec node;
+    node.link = spec.atmLink;
+    net.add("server", node);
+    std::vector<std::string> tags{".s"};
     for (int i = 0; i < spec.clients; ++i) {
-        auto node = std::make_unique<ClientNode>();
+        // Distinct per-client ATM propagation delays (cable-length
+        // spread): with every node sharing cell-time and firmware
+        // quantization constants, identical delays would land
+        // independent clients' cells on the switch at the same tick —
+        // a physically arbitrary tie the perturbation auditor rightly
+        // flags. A picosecond per port breaks every such tie without
+        // measurable latency effect.
+        node.link.propDelay = spec.atmLink.propDelay + i + 1;
         std::string name = "c";
         name += std::to_string(i);
-        node->host = std::make_unique<host::Host>(
-            sim, name, host::CpuSpec::pentium120(), host::BusSpec::pci());
-        if (spec.nic == NicKind::Fe) {
-            node->nicFe = std::make_unique<nic::Dc21140>(
-                *node->host, *ethSwitch,
-                eth::MacAddress::fromIndex(
-                    static_cast<std::uint32_t>(i + 2)));
-            node->unet = std::make_unique<UNetFe>(*node->host,
-                                                  *node->nicFe);
-            fault::attach(plan, sim, *node->nicFe,
-                          ".c" + std::to_string(i));
-        } else {
-            // Distinct per-client propagation delays (cable-length
-            // spread): with every node sharing cell-time and firmware
-            // quantization constants, identical delays would land
-            // independent clients' cells on the switch at the same
-            // tick — a physically arbitrary tie the perturbation
-            // auditor rightly flags. A picosecond per port breaks
-            // every such tie without measurable latency effect.
-            atm::LinkSpec link = spec.atmLink;
-            link.propDelay += i + 1;
-            node->link = std::make_unique<atm::AtmLink>(sim, link);
-            node->nicAtm = std::make_unique<nic::Pca200>(*node->host,
-                                                         *node->link);
-            node->unet = std::make_unique<UNetAtm>(*node->host,
-                                                   *node->nicAtm);
-            fault::attach(plan, sim, *node->link,
-                          ".c" + std::to_string(i));
-        }
-        clients.push_back(std::move(node));
+        net.add(name, node);
+        tags.push_back(std::string(".") + name);
     }
-
-    // ATM ports: clients in index order, server last.
-    if (spec.nic == NicKind::Atm) {
-        for (auto &node : clients)
-            atmPorts.push_back(atmSwitch->addPort(*node->link));
-        atmPorts.push_back(atmSwitch->addPort(*serverLink));
-    }
+    net.attachFaults(plan, tags);
 
     // Processes, endpoints, RPC layers.
-    serverProc = std::make_unique<sim::Process>(
-        sim, "server",
-        [this](sim::Process &p) {
-            serverOk = _server->serve(p, [this] {
-                return finishedClients == spec.clients;
-            });
-            serverDone = true;
-        },
-        4 * 1024 * 1024);
+    sim::Process &serverProc =
+        *procs.emplace_back(std::make_unique<sim::Process>(
+            sim, "server",
+            [this](sim::Process &p) {
+                _server->serve(p, [this] {
+                    return finishedClients == spec.clients;
+                });
+                serverDone = true;
+            },
+            4 * 1024 * 1024));
     // Shard attribution for the happens-before auditor: the server
     // fiber's work belongs to the server host's shard.
-    serverProc->bindShardDomain(serverHost->name());
-    serverOs = std::make_unique<OsService>(*serverUnet, spec.osLimits);
+    serverProc.bindShardDomain(net.host(0).name());
+    serverOs = std::make_unique<OsService>(net.unet(0), spec.osLimits);
     serverEp = serverOs->createEndpoint(
-        *serverProc, serverEndpointConfig(spec.clients));
+        serverProc, serverEndpointConfig(spec.clients));
     if (!serverEp)
         UNET_FATAL("serve rig: OS service denied the server endpoint");
 
     _stats = std::make_unique<ServeStats>(
         sim.metrics(), spec.methods.size(), spec.slo);
-    _server = std::make_unique<RpcServer>(*serverUnet, *serverEp,
+    _server = std::make_unique<RpcServer>(net.unet(0), *serverEp,
                                           spec.serverAm, spec.seed);
     for (const MethodSpec &m : spec.methods)
         _server->addMethod(m);
 
-    clientOk.assign(static_cast<std::size_t>(spec.clients), false);
     for (int i = 0; i < spec.clients; ++i) {
-        ClientNode &node = *clients[i];
-        node.proc = std::make_unique<sim::Process>(
+        ClientNode &node =
+            *clients.emplace_back(std::make_unique<ClientNode>());
+        procs.push_back(std::make_unique<sim::Process>(
             sim, "client" + std::to_string(i),
-            [this, i](sim::Process &p) {
-                ClientNode &n = *clients[i];
-                GenParams params;
-                params.clientIndex = static_cast<std::uint32_t>(i);
-                params.stride =
-                    static_cast<std::uint32_t>(spec.clients);
-                params.seed = spec.seed;
-                params.methods.resize(spec.methods.size());
-                std::iota(params.methods.begin(),
-                          params.methods.end(), MethodId{0});
-                params.requestBytes = spec.requestBytes;
-                params.completionTimeout = workload.completionTimeout;
-
-                bool ok;
-                if (workload.closedLoop) {
-                    ClosedLoopSpec cl;
-                    cl.requests = workload.requestsPerClient;
-                    cl.window = workload.window;
-                    cl.meanThink = workload.meanThink;
-                    ok = runClosedLoop(p, *n.rpc, params, cl);
-                } else {
-                    OpenLoopSpec ol;
-                    ol.requests = workload.requestsPerClient;
-                    ol.meanGap = workload.meanGap;
-                    ok = runOpenLoop(p, *n.rpc, params, ol);
-                }
-                clientOk[static_cast<std::size_t>(i)] = ok;
-                n.finishedAt = p.simulation().now();
-                ++finishedClients;
-                // Two-phase shutdown: keep polling (ACKing the
-                // server's drain-phase retransmits) until the server
-                // finished its own drain. A client that exits first
-                // turns one lost final ACK into a dead channel.
-                n.rpc->am().pollUntil(
-                    p, [this] { return serverDone; }, sim::seconds(10));
-            },
-            512 * 1024);
-        node.proc->bindShardDomain(node.host->name());
-        node.os = std::make_unique<OsService>(*node.unet,
+            [this, i](sim::Process &p) { clientBody(p, i); },
+            512 * 1024));
+        sim::Process &proc = *procs.back();
+        proc.bindShardDomain(net.host(i + 1).name());
+        node.os = std::make_unique<OsService>(net.unet(i + 1),
                                               spec.osLimits);
-        node.endpoint = node.os->createEndpoint(*node.proc, {});
+        node.endpoint = node.os->createEndpoint(proc, {});
         if (!node.endpoint)
             UNET_FATAL("serve rig: OS service denied client endpoint ",
                        i);
@@ -195,27 +116,49 @@ ServeRig::ServeRig(RigSpec s)
     for (int i = 0; i < spec.clients; ++i) {
         ClientNode &node = *clients[i];
         ChannelId at_server = invalidChannel;
-        if (spec.nic == NicKind::Atm) {
-            UNetAtm::connect(
-                static_cast<UNetAtm &>(*node.unet), *node.endpoint,
-                atmPorts[static_cast<std::size_t>(i)],
-                static_cast<UNetAtm &>(*serverUnet), *serverEp,
-                atmPorts.back(), *signalling, node.toServer,
-                at_server);
-        } else {
-            UNetFe::connect(static_cast<UNetFe &>(*node.unet),
-                            *node.endpoint,
-                            static_cast<UNetFe &>(*serverUnet),
-                            *serverEp, node.toServer, at_server);
-        }
+        net.connect(i + 1, *node.endpoint, 0, *serverEp, node.toServer,
+                    at_server);
         _server->openChannel(at_server);
         node.rpc = std::make_unique<RpcClient>(
-            *node.unet, *node.endpoint, node.toServer,
+            net.unet(i + 1), *node.endpoint, node.toServer,
             static_cast<std::uint32_t>(i), *_stats, spec.clientAm);
     }
 }
 
 ServeRig::~ServeRig() = default;
+
+void
+ServeRig::clientBody(sim::Process &p, int i)
+{
+    ClientNode &n = *clients[static_cast<std::size_t>(i)];
+    GenParams params;
+    params.clientIndex = static_cast<std::uint32_t>(i);
+    params.stride = static_cast<std::uint32_t>(spec.clients);
+    params.seed = spec.seed;
+    params.methods.resize(spec.methods.size());
+    std::iota(params.methods.begin(), params.methods.end(), MethodId{0});
+    params.requestBytes = spec.requestBytes;
+    params.completionTimeout = workload.completionTimeout;
+
+    if (workload.closedLoop) {
+        ClosedLoopSpec cl;
+        cl.requests = workload.requestsPerClient;
+        cl.window = workload.window;
+        cl.meanThink = workload.meanThink;
+        runClosedLoop(p, *n.rpc, params, cl);
+    } else {
+        OpenLoopSpec ol;
+        ol.requests = workload.requestsPerClient;
+        ol.meanGap = workload.meanGap;
+        runOpenLoop(p, *n.rpc, params, ol);
+    }
+    ++finishedClients;
+    // Two-phase shutdown: keep polling (ACKing the server's drain-phase
+    // retransmits) until the server finished its own drain. A client
+    // that exits first turns one lost final ACK into a dead channel.
+    n.rpc->am().pollUntil(
+        p, [this] { return serverDone; }, sim::seconds(10));
+}
 
 RunResult
 ServeRig::run(const Workload &w)
@@ -226,11 +169,11 @@ ServeRig::run(const Workload &w)
     workload = w;
 
     sim::Tick start = sim.now();
-    serverProc->start(sim::microseconds(1));
+    procs[0]->start(sim::microseconds(1));
     // Distinct start ticks: no two client fibers ever share a
     // scheduling tick at startup (perturbation hygiene).
     for (int i = 0; i < spec.clients; ++i)
-        clients[static_cast<std::size_t>(i)]->proc->start(
+        procs[static_cast<std::size_t>(i) + 1]->start(
             sim::microseconds(10) + i);
 
     if (spec.simTimeLimit > 0)
@@ -239,15 +182,15 @@ ServeRig::run(const Workload &w)
         sim.run();
 
     RunResult r;
-    r.finished = serverProc->finished();
-    for (auto &node : clients)
-        r.finished = r.finished && node->proc->finished();
+    r.finished = true;
+    for (auto &proc : procs)
+        r.finished = r.finished && proc->finished();
     if (!r.finished) {
         std::fprintf(stderr,
                      "serve rig did not quiesce (%d/%d clients, "
                      "server finished=%d):\n",
                      finishedClients, spec.clients,
-                     serverProc->finished() ? 1 : 0);
+                     procs[0]->finished() ? 1 : 0);
         std::fprintf(
             stderr, "  server: served=%llu retx=%llu rxDrops=%llu\n",
             static_cast<unsigned long long>(_server->served()),
@@ -255,17 +198,19 @@ ServeRig::run(const Workload &w)
                 _server->am().retransmits()),
             static_cast<unsigned long long>(
                 serverEp->rxQueueDrops()));
-        for (auto &node : clients) {
-            if (node->proc->finished())
+        for (std::size_t i = 0; i < clients.size(); ++i) {
+            const sim::Process &proc = *procs[i + 1];
+            const ClientNode &node = *clients[i];
+            if (proc.finished())
                 continue;
             std::fprintf(
                 stderr,
                 "  %s: outstanding=%zu completions=%llu retx=%llu\n",
-                node->proc->name().c_str(), node->rpc->outstanding(),
+                proc.name().c_str(), node.rpc->outstanding(),
                 static_cast<unsigned long long>(
-                    node->rpc->completions()),
+                    node.rpc->completions()),
                 static_cast<unsigned long long>(
-                    node->rpc->am().retransmits()));
+                    node.rpc->am().retransmits()));
         }
     }
 

@@ -23,15 +23,11 @@
 #include <string>
 #include <vector>
 
-#include "atm/switch.hh"
-#include "eth/link.hh"
-#include "eth/switch.hh"
 #include "fault/fault.hh"
 #include "serve/loadgen.hh"
 #include "serve/rpc.hh"
+#include "topo/topo.hh"
 #include "unet/os_service.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
 
 namespace unet::serve {
 
@@ -57,8 +53,10 @@ struct RigSpec
     std::uint64_t seed = 1;
 
     /** Fault scenario string (fault::Plan grammar), "" = clean.
-     *  Sites: "eth.switch"/"atm.switch", "nic.fe.rx.c<i>"/".s",
-     *  "atm.link.c<i>"/".s". */
+     *  Sites follow topo::Net::attachFaults: the switch is
+     *  "eth.switch"/"atm.switch"; the server's NIC and link sites end
+     *  in ".s" and client i's in ".c<i>" ("nic.fe.rx.c3",
+     *  "atm.link.s.0", "nic.atm.rx.c0"). */
     std::string faults;
 
     /** Dispatch table; default one echo-like method (4us fixed + 2us
@@ -154,43 +152,33 @@ class ServeRig
     obs::Registry &metrics() { return sim.metrics(); }
     ServeStats &stats() { return *_stats; }
     RpcServer &server() { return *_server; }
-    RpcClient &client(int i) { return *clients.at(i)->rpc; }
-    Endpoint &serverEndpoint() { return *serverEp; }
-    int clientCount() const { return spec.clients; }
 
   private:
+    /** Client i is node i + 1 of the net; the server is node 0. */
     struct ClientNode
     {
-        std::unique_ptr<host::Host> host;
-        std::unique_ptr<atm::AtmLink> link;  ///< ATM only
-        std::unique_ptr<nic::Dc21140> nicFe; ///< FE only
-        std::unique_ptr<nic::Pca200> nicAtm; ///< ATM only
-        std::unique_ptr<UNet> unet;
         std::unique_ptr<OsService> os;
-        std::unique_ptr<sim::Process> proc;
         Endpoint *endpoint = nullptr;
         std::unique_ptr<RpcClient> rpc;
         ChannelId toServer = invalidChannel;
-        sim::Tick finishedAt = 0;
     };
+
+    /** Client @p i's fiber: its load generator, then the shutdown
+     *  linger. */
+    void clientBody(sim::Process &p, int i);
 
     RigSpec spec;
     sim::Simulation sim;
 
-    // Fabric (one of these is populated).
-    std::unique_ptr<eth::Switch> ethSwitch;
-    std::unique_ptr<atm::Switch> atmSwitch;
-    std::unique_ptr<atm::Signalling> signalling;
-    std::vector<std::size_t> atmPorts; ///< [i] = client i; back = server
+    /** The fiber of net node i. Declared before the net, so teardown
+     *  hands the host arenas to the buffer pool (sim/pool.hh) ahead of
+     *  the fiber stacks: the next rig's set-up, which zeroes every
+     *  arena, then finds them mapped. */
+    std::vector<std::unique_ptr<sim::Process>> procs;
 
-    // Server node.
-    std::unique_ptr<host::Host> serverHost;
-    std::unique_ptr<atm::AtmLink> serverLink;
-    std::unique_ptr<nic::Dc21140> serverNicFe;
-    std::unique_ptr<nic::Pca200> serverNicAtm;
-    std::unique_ptr<UNet> serverUnet;
+    topo::Net net;
+
     std::unique_ptr<OsService> serverOs;
-    std::unique_ptr<sim::Process> serverProc;
     Endpoint *serverEp = nullptr;
 
     std::unique_ptr<ServeStats> _stats;
@@ -198,11 +186,9 @@ class ServeRig
     std::vector<std::unique_ptr<ClientNode>> clients;
 
     int finishedClients = 0;
-    bool serverOk = false;
     /** Set by the server fiber once serve() (incl. drain) returned;
      *  releases the clients' post-run linger. */
     bool serverDone = false;
-    std::vector<bool> clientOk;
     bool ran = false;
     Workload workload;
 

@@ -13,8 +13,10 @@
 #ifndef UNET_UNET_TYPES_HH
 #define UNET_UNET_TYPES_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "obs/trace_ctx.hh"
 
@@ -86,6 +88,30 @@ struct SendDescriptor
         return n;
     }
 };
+
+/** An inline send of @p data (at most smallMessageMax bytes). */
+inline SendDescriptor
+inlineSend(ChannelId chan, std::span<const std::uint8_t> data)
+{
+    SendDescriptor sd;
+    sd.channel = chan;
+    sd.isInline = true;
+    sd.inlineLength = static_cast<std::uint32_t>(data.size());
+    std::copy(data.begin(), data.end(), sd.inlineData.begin());
+    return sd;
+}
+
+/** A single-fragment buffer-area send of @p frag. */
+inline SendDescriptor
+fragmentSend(ChannelId chan, BufferRef frag)
+{
+    SendDescriptor sd;
+    sd.channel = chan;
+    sd.isInline = false;
+    sd.fragmentCount = 1;
+    sd.fragments[0] = frag;
+    return sd;
+}
 
 /**
  * Receive-queue entry: the source channel plus either the message

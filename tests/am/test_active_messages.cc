@@ -336,8 +336,7 @@ TEST(ActiveMessages, WorksOverAtmToo)
 
     epA = &star[0].unet.createEndpoint(&procA, {});
     epB = &star[1].unet.createEndpoint(&procB, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
     amA = std::make_unique<ActiveMessages>(star[0].unet, *epA);
     amB = std::make_unique<ActiveMessages>(star[1].unet, *epB);
     amA->openChannel(chanA);

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "check/hb/report.hh"
@@ -155,6 +157,22 @@ TEST(HbReport, VerboseSectionIsSupplemental)
     EXPECT_NE(r.reportVerbose, r.report);
     EXPECT_NE(r.reportVerbose.find("\"verbose\""), std::string::npos);
     EXPECT_EQ(r.report.find("\"verbose\""), std::string::npos);
+}
+
+/** The canonical reports of the clean topologies, byte for byte
+ *  against the copies under tests/check/golden/. Regenerate one with
+ *  `unet-hb <topo> --report tests/check/golden/hb_<topo>.json` and
+ *  explain the change. */
+TEST(HbReport, CleanReportsMatchGolden)
+{
+    for (const char *name : {"fig5", "fault", "serve"}) {
+        std::ifstream in(std::string(UNET_HB_GOLDEN_DIR) + "/hb_" +
+                         name + ".json");
+        ASSERT_TRUE(in) << "missing golden report for " << name;
+        std::stringstream want;
+        want << in.rdbuf();
+        EXPECT_EQ(hb::runTopo(name).report, want.str()) << name;
+    }
 }
 
 TEST(HbTopos, RegistryIsConsistent)

@@ -119,3 +119,33 @@ TEST(Cluster, LatencySensitiveOrdering)
     EXPECT_LT(hub, bay);
     EXPECT_LT(bay, fn);
 }
+
+/** Elapsed simulated time of one small SPMD program on every fabric.
+ *  The cluster's wiring (host CPUs, MACs, switch ports, links) reaches
+ *  these ticks. */
+TEST(Cluster, ElapsedTicksArePinned)
+{
+    const std::pair<Config, sim::Tick> rows[] = {
+        {Config::feCluster(4, NetKind::FeBay28115), 763249382},
+        {Config::feCluster(4, NetKind::FeHub), 1644894452},
+        {Config::feCluster(4, NetKind::FeFn100), 1042465658},
+        {Config::atmSplitC(4), 1146433330},
+    };
+    for (const auto &[config, pinned] : rows) {
+        sim::Simulation s;
+        Cluster c(s, config);
+        sim::Tick elapsed =
+            c.run([](splitc::Runtime &rt, sim::Process &proc) {
+                splitc::HeapAddr slot = rt.alloc<std::uint64_t>(1);
+                *rt.localPtr<std::uint64_t>(slot) =
+                    static_cast<std::uint64_t>(rt.self());
+                rt.barrier(proc);
+                int next = (rt.self() + 1) % rt.procs();
+                std::uint64_t v = rt.read(
+                    proc, splitc::GlobalPtr<std::uint64_t>(next, slot));
+                rt.allReduceSum(proc, v);
+                rt.barrier(proc);
+            });
+        EXPECT_EQ(elapsed, pinned) << static_cast<int>(config.net);
+    }
+}

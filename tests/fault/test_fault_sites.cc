@@ -31,25 +31,6 @@ postBuffers(UNet &un, sim::Process &proc, Endpoint &ep, int n = 8)
                     {static_cast<std::uint32_t>(i * 2048), 2048});
 }
 
-/** One raw buffer-area send (the only U-Net/FE TX path). Rotates the
- *  TX slot: the zero-copy contract forbids re-posting an in-flight
- *  region. */
-bool
-rawFragSend(UNet &un, sim::Process &proc, Endpoint &ep, ChannelId chan,
-            std::uint32_t size, int slot)
-{
-    SendDescriptor sd;
-    sd.channel = chan;
-    sd.isInline = false;
-    sd.fragmentCount = 1;
-    sd.fragments[0] = {16384 + static_cast<std::uint32_t>(slot % 8) *
-                           2048,
-                       size};
-    bool ok = un.send(proc, ep, sd);
-    un.flush(proc, ep);
-    return ok;
-}
-
 /**
  * Raw one-way rig over any eth::Network: A fires @p sends messages at
  * B; returns how many B received. The caller arms injectors between
@@ -71,10 +52,17 @@ struct RawFeRig
             while (epB->wait(proc, rd, sim::milliseconds(2)))
                 ++got;
         });
+        // Buffer-area sends (the only U-Net/FE TX path) rotating the
+        // TX slot: the zero-copy contract forbids re-posting an
+        // in-flight region.
         sim::Process tx(s, "tx", [&](sim::Process &proc) {
-            for (int i = 0; i < sends; ++i)
-                ASSERT_TRUE(
-                    rawFragSend(a.unet, proc, *epA, chanA, 256, i));
+            for (int i = 0; i < sends; ++i) {
+                std::uint32_t off =
+                    16384 + static_cast<std::uint32_t>(i % 8) * 2048;
+                ASSERT_TRUE(a.unet.send(proc, *epA,
+                                        fragmentSend(chanA, {off, 256})));
+                a.unet.flush(proc, *epA);
+            }
         });
         epA = &a.unet.createEndpoint(&tx, {});
         epB = &b.unet.createEndpoint(&rx, {});
@@ -281,9 +269,7 @@ atmOneWay(sim::Simulation &s, AtmStar &star, int sends,
     });
     epA = &star[0].unet.createEndpoint(&tx, {});
     epB = &star[1].unet.createEndpoint(&rx, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA,
-                     chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
     arm();
     rx.start();
     tx.start(sim::microseconds(5));
@@ -337,7 +323,7 @@ TEST(FaultSites, AtmSwitchDropLosesTheCell)
     fault::Plan plan = fault::Plan::parse("atm.switch.drop_every=2");
 
     int got = atmOneWay(s, star, 4, [&] {
-        fault::attach(plan, s, star.sw);
+        fault::attach(plan, s, star.atmSwitch());
     });
     EXPECT_EQ(got, 2);
     ASSERT_EQ(plan.armed().size(), 1u);

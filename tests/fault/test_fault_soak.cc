@@ -180,9 +180,7 @@ TEST_P(FaultSoakAtm, BulkStoreSurvivesBurstLossAndCorruption)
         "atm.link.a.*.ge=0.01/0.3/1.0 atm.link.b.*.corrupt=0.01 "
         "atm.switch.drop=0.005");
     plan.setSeed(seed);
-    fault::attach(plan, s, star[0].link, ".a");
-    fault::attach(plan, s, star[1].link, ".b");
-    fault::attach(plan, s, star.sw);
+    star.attachFaults(plan, {".a", ".b"});
 
     Endpoint *epA = nullptr, *epB = nullptr;
     ChannelId chanA = invalidChannel, chanB = invalidChannel;
@@ -211,9 +209,7 @@ TEST_P(FaultSoakAtm, BulkStoreSurvivesBurstLossAndCorruption)
 
     epA = &star[0].unet.createEndpoint(&procA, {});
     epB = &star[1].unet.createEndpoint(&procB, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA,
-                     chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
     // A 4 KB bulk fragment spans ~86 cells — with per-cell burst loss
     // nearly every fragment is hit. Tune the MTU down, as a real
     // deployment on a lossy link would.

@@ -74,17 +74,12 @@ runFig5(std::uint64_t salt, Fabric fabric, std::size_t size,
     sim::Process echo(s, "echo", [&](sim::Process &self) {
         auto &un = rig.unetOf(1);
         auto &ep = rig.ep(1);
-        for (int i = 0; i < 8; ++i)
-            un.postFree(self, ep,
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(un, self, ep, 8);
         RecvDescriptor rd;
         for (int r = 0; r < rounds; ++r) {
             if (!ep.wait(self, rd, sim::seconds(1)))
                 return;
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep,
-                                {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
             post(un, self, ep, rig.chan(1));
             un.flush(self, ep);
         }
@@ -93,9 +88,7 @@ runFig5(std::uint64_t salt, Fabric fabric, std::size_t size,
     sim::Process ping(s, "ping", [&](sim::Process &self) {
         auto &un = rig.unetOf(0);
         auto &ep = rig.ep(0);
-        for (int i = 0; i < 8; ++i)
-            un.postFree(self, ep,
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(un, self, ep, 8);
         RecvDescriptor rd;
         for (int r = 0; r < rounds; ++r) {
             post(un, self, ep, rig.chan(0));
@@ -103,10 +96,7 @@ runFig5(std::uint64_t salt, Fabric fabric, std::size_t size,
             if (!ep.wait(self, rd, sim::seconds(1)))
                 return;
             trace.push_back(s.now());
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep,
-                                {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
         }
     });
 

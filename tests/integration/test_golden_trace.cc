@@ -47,16 +47,12 @@ replyArrivalTrace(Fabric fabric, std::size_t size, int rounds = 4,
     sim::Process echo(s, "echo", [&](sim::Process &self) {
         auto &un = rig.unetOf(1);
         auto &ep = rig.ep(1);
-        for (int i = 0; i < 8; ++i)
-            un.postFree(self, ep,
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(un, self, ep, 8);
         RecvDescriptor rd;
         for (int r = 0; r < rounds; ++r) {
             if (!ep.wait(self, rd, sim::seconds(1)))
                 return;
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep, {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
             rawSend(un, self, ep, rig.chan(1), size, 16384,
                     !rig.isAtm());
             un.flush(self, ep);
@@ -66,9 +62,7 @@ replyArrivalTrace(Fabric fabric, std::size_t size, int rounds = 4,
     sim::Process ping(s, "ping", [&](sim::Process &self) {
         auto &un = rig.unetOf(0);
         auto &ep = rig.ep(0);
-        for (int i = 0; i < 8; ++i)
-            un.postFree(self, ep,
-                        {static_cast<std::uint32_t>(i * 2048), 2048});
+        postRecvBuffers(un, self, ep, 8);
         RecvDescriptor rd;
         for (int r = 0; r < rounds; ++r) {
             rawSend(un, self, ep, rig.chan(0), size, 16384,
@@ -77,9 +71,7 @@ replyArrivalTrace(Fabric fabric, std::size_t size, int rounds = 4,
             if (!ep.wait(self, rd, sim::seconds(1)))
                 return;
             trace.push_back(s.now());
-            if (!rd.isSmall)
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    un.postFree(self, ep, {rd.buffers[i].offset, 2048});
+            recycleBuffers(un, self, ep, rd);
         }
     });
 

@@ -52,8 +52,7 @@ TEST(Pca200, WeightedPollingFavorsActiveEndpoints)
 
     epA = &star[0].unet.createEndpoint(&tx, {});
     epB = &star[1].unet.createEndpoint(&rx, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
     rx.start();
     tx.start();
     s.run();
@@ -130,8 +129,7 @@ TEST(Pca200, RemoveVciStopsDelivery)
 
     epA = &star[0].unet.createEndpoint(&tx, {});
     epB = &star[1].unet.createEndpoint(&rx, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
 
     // Tear down the receive demux before the cell lands.
     star[1].nic.removeVci(epB->channel(chanB).vci);
@@ -169,8 +167,7 @@ TEST(Pca200, CellAndMessageStats)
 
     epA = &star[0].unet.createEndpoint(&tx, {});
     epB = &star[1].unet.createEndpoint(&rx, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
 
     rx.start();
     tx.start(1_us);

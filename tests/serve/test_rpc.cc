@@ -210,6 +210,50 @@ TEST(RpcServe, DuplicateResponsesAreSuppressed)
 }
 
 /**
+ * The simulated outputs of a small open-loop incast, per NIC, clean and
+ * under switch burst loss. The rig's wiring (host names, MACs, switch
+ * ports, link delays, fault sites) reaches every one of these numbers.
+ */
+TEST(RpcServe, SmallIncastOutputsArePinned)
+{
+    struct Pinned
+    {
+        serve::NicKind nic;
+        const char *faults;
+        sim::Tick makespan;
+        double p50Us;
+        double p99Us;
+    };
+    const Pinned rows[] = {
+        {serve::NicKind::Fe, "", 4969104627, 77.824, 546.055},
+        {serve::NicKind::Fe, "seed=11 eth.switch.ge=0.005/0.2/0.8",
+         6785632440, 89.680842105263167, 3817.62},
+        {serve::NicKind::Atm, "", 4996056105, 105.25478787878787,
+         240.298},
+        {serve::NicKind::Atm, "seed=11 atm.switch.ge=0.005/0.2/0.8",
+         7752181106, 2563.1857777777782, 5293.409},
+    };
+    for (const Pinned &pin : rows) {
+        SCOPED_TRACE(std::string(serve::nicName(pin.nic)) + " '" +
+                     pin.faults + "'");
+        serve::RigSpec spec = feSpec(4);
+        spec.nic = pin.nic;
+        spec.faults = pin.faults;
+        serve::ServeRig rig(spec);
+        serve::Workload w;
+        w.requestsPerClient = 20;
+        w.meanGap = sim::microseconds(200);
+        serve::RunResult r = rig.run(w);
+
+        ASSERT_TRUE(r.finished);
+        EXPECT_EQ(r.completed, 80u);
+        EXPECT_EQ(r.makespan, pin.makespan);
+        EXPECT_DOUBLE_EQ(r.p50Us, pin.p50Us);
+        EXPECT_DOUBLE_EQ(r.p99Us, pin.p99Us);
+    }
+}
+
+/**
  * Seeded Gilbert-Elliott burst loss at the switch: the AM layer must
  * retransmit through the bursts, and however many wire-level replays
  * that takes, the serving plane's exactly-once accounting has to

@@ -1,103 +1,33 @@
 /**
  * @file
- * Two-node test rigs for the U-Net implementations.
+ * Test rigs for the U-Net implementations: the topology builder's
+ * nodes, an ATM star, and a recognizable payload.
  */
 
 #ifndef UNET_TESTS_UNET_FIXTURES_HH
 #define UNET_TESTS_UNET_FIXTURES_HH
 
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "atm/switch.hh"
-#include "eth/link.hh"
-#include "unet/unet_atm.hh"
-#include "unet/unet_fe.hh"
+#include "topo/topo.hh"
 
 namespace unet::test {
 
-/** One Fast Ethernet node: host + DC21140 + in-kernel U-Net. */
-struct FeNode
+using topo::AtmNode;
+using topo::FeNode;
+
+/** An ATM star: nodes "node0".."node<n-1>" around one ASX-200. */
+struct AtmStar : topo::Net
 {
-    FeNode(sim::Simulation &s, eth::Network &net, int index)
-        : host(s, "node" + std::to_string(index),
-               host::CpuSpec::pentium120(), host::BusSpec::pci()),
-          nic(host, net,
-              eth::MacAddress::fromIndex(static_cast<std::uint32_t>(
-                  index + 1))),
-          unet(host, nic)
-    {}
-
-    host::Host host;
-    nic::Dc21140 nic;
-    UNetFe unet;
-};
-
-/** One ATM node: host + PCA-200 + U-Net/ATM driver. */
-struct AtmNode
-{
-    AtmNode(sim::Simulation &s, int index,
-            host::CpuSpec cpu = host::CpuSpec::pentium120(),
-            host::BusSpec bus = host::BusSpec::pci(),
-            atm::LinkSpec link_spec = atm::LinkSpec::oc3())
-        : host(s, "node" + std::to_string(index), std::move(cpu),
-               std::move(bus)),
-          link(s, link_spec), nic(host, link), unet(host, nic)
-    {}
-
-    host::Host host;
-    atm::AtmLink link;
-    nic::Pca200 nic;
-    UNetAtm unet;
-};
-
-/** An ATM star: N nodes around one ASX-200. */
-struct AtmStar
-{
-    AtmStar(sim::Simulation &s, int n,
-            host::CpuSpec cpu = host::CpuSpec::pentium120(),
-            host::BusSpec bus = host::BusSpec::pci(),
-            atm::LinkSpec link_spec = atm::LinkSpec::oc3())
-        : sw(s), signalling(sw)
+    AtmStar(sim::Simulation &s, int n) : Net(s, topo::FabricKind::Atm)
     {
-        for (int i = 0; i < n; ++i) {
-            nodes.push_back(std::make_unique<AtmNode>(
-                s, i, cpu, bus, link_spec));
-            ports.push_back(sw.addPort(nodes.back()->link));
-        }
+        for (int i = 0; i < n; ++i)
+            add("node" + std::to_string(i));
     }
 
-    AtmNode &operator[](std::size_t i) { return *nodes[i]; }
-
-    atm::Switch sw;
-    atm::Signalling signalling;
-    std::vector<std::unique_ptr<AtmNode>> nodes;
-    std::vector<std::size_t> ports;
+    AtmNode &operator[](std::size_t i) { return atm(i); }
 };
-
-/** Build an inline (small) send descriptor. */
-inline SendDescriptor
-inlineSend(ChannelId chan, std::span<const std::uint8_t> data)
-{
-    SendDescriptor sd;
-    sd.channel = chan;
-    sd.isInline = true;
-    sd.inlineLength = static_cast<std::uint32_t>(data.size());
-    std::copy(data.begin(), data.end(), sd.inlineData.begin());
-    return sd;
-}
-
-/** Build a single-fragment buffer-area send descriptor. */
-inline SendDescriptor
-fragmentSend(ChannelId chan, BufferRef frag)
-{
-    SendDescriptor sd;
-    sd.channel = chan;
-    sd.isInline = false;
-    sd.fragmentCount = 1;
-    sd.fragments[0] = frag;
-    return sd;
-}
 
 /** A recognizable payload. */
 inline std::vector<std::uint8_t>

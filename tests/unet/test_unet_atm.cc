@@ -27,8 +27,7 @@ TEST(UNetAtm, SingleCellMessageEndToEnd)
 
     epA = &star[0].unet.createEndpoint(&tx, {});
     epB = &star[1].unet.createEndpoint(&rx, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
 
     rx.start();
     tx.start(1_us);
@@ -75,8 +74,7 @@ TEST(UNetAtm, MultiCellMessageIntoBuffers)
 
     epA = &star[0].unet.createEndpoint(&tx, {});
     epB = &star[1].unet.createEndpoint(&rx, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
 
     rx.start();
     tx.start(1_us);
@@ -88,7 +86,7 @@ TEST(UNetAtm, MultiCellMessageIntoBuffers)
     EXPECT_EQ(received_bytes, data);
     // 1500 + 8 trailer = 32 cells.
     EXPECT_EQ(star[0].nic.cellsSent(), 32u);
-    EXPECT_EQ(star.sw.cellsForwarded(), 32u);
+    EXPECT_EQ(star.atmSwitch().cellsForwarded(), 32u);
 }
 
 TEST(UNetAtm, NoFreeBufferPoisonsPdu)
@@ -111,8 +109,7 @@ TEST(UNetAtm, NoFreeBufferPoisonsPdu)
 
     epA = &star[0].unet.createEndpoint(&tx, {});
     epB = &star[1].unet.createEndpoint(&rx, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
 
     rx.start();
     tx.start(1_us);
@@ -132,8 +129,7 @@ TEST(UNetAtm, ProtectionFaultOnForeignEndpoint)
     Endpoint *epA = &star[0].unet.createEndpoint(&owner, {});
     Endpoint *epB = &star[1].unet.createEndpoint(&owner, {});
     ChannelId chanA, chanB;
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
 
     sim::Process intruder(s, "intruder", [&](sim::Process &self) {
         auto data = pattern(8);
@@ -163,8 +159,7 @@ TEST(UNetAtm, HostSendOverheadIsOnePointFive)
 
     epA = &star[0].unet.createEndpoint(&tx, {});
     Endpoint *epB = &star[1].unet.createEndpoint(&tx, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
     tx.start();
     s.run();
 
@@ -192,8 +187,7 @@ TEST(UNetAtm, I960CarriesTheWork)
 
     epA = &star[0].unet.createEndpoint(&tx, {});
     epB = &star[1].unet.createEndpoint(&rx, {});
-    UNetAtm::connect(star[0].unet, *epA, star.ports[0], star[1].unet,
-                     *epB, star.ports[1], star.signalling, chanA, chanB);
+    star.connect(0, *epA, 1, *epB, chanA, chanB);
     rx.start();
     tx.start();
     s.run();
@@ -237,10 +231,8 @@ TEST(UNetAtm, ManyMessagesInterleaveAcrossChannels)
     ep0 = &star[0].unet.createEndpoint(&tx, {});
     ep1 = &star[1].unet.createEndpoint(&rx1, {});
     ep2 = &star[2].unet.createEndpoint(&rx2, {});
-    UNetAtm::connect(star[0].unet, *ep0, star.ports[0], star[1].unet,
-                     *ep1, star.ports[1], star.signalling, c01, c10);
-    UNetAtm::connect(star[0].unet, *ep0, star.ports[0], star[2].unet,
-                     *ep2, star.ports[2], star.signalling, c02, c20);
+    star.connect(0, *ep0, 1, *ep1, c01, c10);
+    star.connect(0, *ep0, 2, *ep2, c02, c20);
 
     rx1.start();
     rx2.start();
