@@ -42,14 +42,15 @@ rxKernelTimeUs(std::size_t size, bool charge_copy)
     });
     sim::Process source(s, "source", [&](sim::Process &self) {
         auto &un = rig.unetOf(0);
+        auto &ep = rig.ep(0);
         for (int m = 0; m < messages; ++m) {
-            while (!rawSend(un, self, rig.ep(0), rig.chan(0), size,
-                            16384)) {
+            while (!rawSend(un, self, ep, rig.chan(0), size,
+                            txSlot(ep, 16384, 2048, m))) {
                 self.delay(sim::microseconds(20));
-                un.flush(self, rig.ep(0));
+                un.flush(self, ep);
             }
         }
-        un.flush(self, rig.ep(0));
+        un.flush(self, ep);
     });
     rig.wire(source, sink);
     sink.start();

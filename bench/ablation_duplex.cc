@@ -54,8 +54,10 @@ bidirectionalMbps(bool full_duplex)
                     consume(un, self, ep, rd);
                 }
                 if (sent < messages) {
+                    // Past the 16 receive buffers; up to 128 sends
+                    // (send queue + TX ring) are outstanding.
                     if (rawSend(un, self, ep, rig.chan(side), msgBytes,
-                                40000)) {
+                                txSlot(ep, 40000, msgBytes, sent))) {
                         ++sent;
                     } else {
                         self.delay(sim::microseconds(20));

@@ -222,6 +222,21 @@ rawSend(UNet &un, sim::Process &proc, Endpoint &ep, ChannelId chan,
                                  force_fragment));
 }
 
+/**
+ * Buffer-area offset of the TX buffer for message @p m of a stream:
+ * @p first, then one @p stride-byte slot per message, wrapping at the
+ * end of @p ep's buffer area. A buffer may not be re-posted while a
+ * send from it is in flight (zero-copy contract), so the area past
+ * @p first must hold more slots than sends can be outstanding.
+ */
+inline std::uint32_t
+txSlot(Endpoint &ep, std::uint32_t first, std::uint32_t stride, int m)
+{
+    const auto slots =
+        static_cast<std::uint32_t>((ep.buffers().size() - first) / stride);
+    return first + static_cast<std::uint32_t>(m) % slots * stride;
+}
+
 /** Post @p n 2 KB receive buffers from the start of @p ep's buffer
  *  area. */
 inline void

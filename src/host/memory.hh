@@ -6,7 +6,9 @@
  * kernel receive buffers, and U-Net endpoint buffer areas are carved out
  * of it with a bump allocator, so DMA targets are real bytes at real
  * offsets — a NIC writing outside its buffer trips a panic instead of
- * silently corrupting state.
+ * silently corrupting state. The arena is its own anonymous mapping
+ * (sim::MappedBuffer): every byte reads zero until written, and only
+ * the pages the host touches become resident.
  */
 
 #ifndef UNET_HOST_MEMORY_HH
@@ -26,13 +28,7 @@ namespace unet::host {
 class Memory
 {
   public:
-    explicit Memory(std::size_t size = 4 * 1024 * 1024) : bytes(size)
-    {
-        // The arena is pooled across simulations (benchmark sweeps
-        // construct hosts in bursts); a recycled buffer carries stale
-        // contents, so restore the zeroed-memory contract here.
-        std::memset(bytes.data(), 0, bytes.size());
-    }
+    explicit Memory(std::size_t size = 4 * 1024 * 1024) : bytes(size) {}
 
     std::size_t size() const { return bytes.size(); }
 
@@ -93,7 +89,7 @@ class Memory
     }
 
   private:
-    sim::RecycledBuffer bytes;
+    sim::MappedBuffer bytes;
     std::size_t brk = 0;
 };
 

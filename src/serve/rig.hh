@@ -170,10 +170,7 @@ class ServeRig
     RigSpec spec;
     sim::Simulation sim;
 
-    /** The fiber of net node i. Declared before the net, so teardown
-     *  hands the host arenas to the buffer pool (sim/pool.hh) ahead of
-     *  the fiber stacks: the next rig's set-up, which zeroes every
-     *  arena, then finds them mapped. */
+    /** The fiber of net node i. */
     std::vector<std::unique_ptr<sim::Process>> procs;
 
     topo::Net net;

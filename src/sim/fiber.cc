@@ -149,21 +149,6 @@ asanFinishSwitch([[maybe_unused]] void *fake_stack_save,
 #endif
 }
 
-/**
- * Clear ASan poison from a stack about to be reused. A pooled stack
- * keeps the redzones of every frame that never returned: those of a
- * fiber destroyed mid-yield, and trampoline()'s own in every fiber.
- * Writing the first frame over them would trip ASan. (ASan's
- * swapcontext interceptor used to do this.)
- */
-inline void
-asanUnpoison([[maybe_unused]] void *addr, [[maybe_unused]] std::size_t size)
-{
-#ifdef UNET_ASAN_FIBERS
-    __asan_unpoison_memory_region(addr, size);
-#endif
-}
-
 inline void *
 tsanCreateFiber()
 {
@@ -212,7 +197,6 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_size)
         UNET_PANIC("fiber stack of ", stack.size(),
                    " bytes cannot hold its first frame");
     tsanFiber = tsanCreateFiber();
-    asanUnpoison(stack.data(), stack.size());
 #if defined(UNET_CHECK) && UNET_CHECK
     // The stack grows down from stack.data() + size; an overflow tramples
     // the low end first. Seed it so checkCanary() can tell.

@@ -81,11 +81,11 @@ class Fiber
     void checkCanary() const;
 
     std::function<void()> body;
-    /** Pooled stack storage: acquired unzeroed from a per-thread free
-     *  list and returned on destruction, so fiber churn does not pay
-     *  an mmap + page-fault cycle per spawn. Stacks need no zeroing —
-     *  run() writes the first frame before anything reads the stack. */
-    RecycledBuffer stack;
+    /** Stack storage on its own mapping: only the pages the fiber
+     *  touches become resident, and destruction unmaps it. Its zero
+     *  fill is not relied on — run() writes the first frame before
+     *  anything reads the stack. */
+    MappedBuffer stack;
     /** Saved stack pointer while suspended; null until the first run. */
     void *sp = nullptr;
     /** Stack pointer of the run() call to return to. */

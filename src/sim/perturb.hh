@@ -19,9 +19,9 @@
  *    permutation — every salt yields one reproducible schedule);
  *  - the event-record pool threads its free lists in a salted order, so
  *    record slot numbers differ between salts;
- *  - the RecycledBuffer pool (fiber stacks, host memory arenas) picks
- *    among reusable blocks pseudo-randomly and pads fresh allocations,
- *    so data-structure addresses differ between salts.
+ *  - every MappedBuffer (host memory arenas, Split-C heaps, fiber
+ *    stacks) starts its usable area after a salted pad, so
+ *    data-structure addresses differ between salts.
  *
  * A model with no hidden order/address dependence produces *identical
  * simulated results* (ticks, metrics, traces) under every salt; the

@@ -1,32 +1,23 @@
 #include "sim/pool.hh"
 
-#include <memory>
+#include <sanitizer/asan_interface.h>
+#include <sys/mman.h>
 
+#include <cerrno>
+#include <system_error>
+
+#include "sim/logging.hh"
 #include "sim/perturb.hh"
 
 namespace unet::sim {
 
 namespace {
 
-/** Retired buffers awaiting reuse, matched by exact (usable) size. */
-struct PooledBlock
-{
-    std::unique_ptr<unsigned char[]> base;
-    std::size_t size;
-    std::size_t pad;
-};
-
-thread_local std::vector<PooledBlock> blockPool;
-
-/** Retention cap: enough for a simulation's worth of fibers and
- *  arenas without holding the whole high-water mark forever. */
-constexpr std::size_t blockPoolMax = 32;
-
-/** Monotonic draw counter for the salted acquisition decisions. */
+/** Monotonic draw counter for the salted pads. */
 thread_local std::uint64_t acquireCount = 0;
 
-/** Salted pad for a fresh allocation: 0..31 cache lines. Keeps the
- *  usable area max_align-compatible (64 is a multiple of 16). */
+/** Salted pad: 0..31 cache lines. Keeps the usable area
+ *  max_align-compatible (64 is a multiple of 16). */
 std::size_t
 saltedPad(std::uint64_t salt)
 {
@@ -37,48 +28,27 @@ saltedPad(std::uint64_t salt)
 
 } // namespace
 
-RecycledBuffer::RecycledBuffer(std::size_t size) : bytes(size)
+MappedBuffer::MappedBuffer(std::size_t size) : bytes(size)
 {
-    const std::uint64_t salt = perturb::salt();
-
-    // Collect the reusable candidates (exact size match).
-    std::size_t matches = 0;
-    for (const PooledBlock &block : blockPool)
-        matches += block.size == size;
-
-    if (matches > 0) {
-        // Unperturbed: newest match (LIFO keeps pages warm). Salted: a
-        // deterministic pseudo-random pick, so block/address pairing
-        // differs between salts.
-        std::size_t wanted = salt == 0
-            ? 0
-            : perturb::mix(salt, ++acquireCount) % matches;
-        for (std::size_t i = blockPool.size(); i-- > 0;) {
-            if (blockPool[i].size != size)
-                continue;
-            if (wanted-- == 0) {
-                base = blockPool[i].base.release();
-                mem = base + blockPool[i].pad;
-                blockPool.erase(blockPool.begin() +
-                                static_cast<std::ptrdiff_t>(i));
-                return;
-            }
-        }
-    }
-
-    std::size_t pad = saltedPad(salt);
-    base = new unsigned char[size + pad];
+    const std::size_t pad = saltedPad(perturb::salt());
+    void *map = mmap(nullptr, pad + size, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (map == MAP_FAILED)
+        UNET_FATAL("mmap of ", pad + size, " bytes failed: ",
+                   std::generic_category().message(errno));
+    base = static_cast<unsigned char *>(map);
     mem = base + pad;
+    // The mapping may reuse the address range of a dead fiber's stack.
+    // ASan does not clear shadow memory on munmap, so the redzones of
+    // that stack's frames that never returned (those of a fiber
+    // destroyed mid-yield, and trampoline()'s own in every fiber) would
+    // poison this buffer. A no-op without ASan.
+    ASAN_UNPOISON_MEMORY_REGION(base, pad + size);
 }
 
-RecycledBuffer::~RecycledBuffer()
+MappedBuffer::~MappedBuffer()
 {
-    if (blockPool.size() < blockPoolMax)
-        blockPool.push_back({std::unique_ptr<unsigned char[]>(base),
-                             bytes,
-                             static_cast<std::size_t>(mem - base)});
-    else
-        delete[] base;
+    munmap(base, static_cast<std::size_t>(mem - base) + bytes);
 }
 
 } // namespace unet::sim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Allocation-recycling containers for simulation hot paths.
+ * Storage for simulation hot paths.
  *
  * SlotRing is a FIFO ring whose slots stay alive across reuse: popping
  * the front only advances the head index, so the element object (and any
@@ -8,6 +8,9 @@
  * next assignment into that slot. In steady state — once the ring has
  * grown to the workload's high-water mark — pushing and popping perform
  * zero allocations.
+ *
+ * MappedBuffer holds the large, sparsely touched buffers (host arenas,
+ * Split-C heaps, fiber stacks) on their own lazily zeroed mappings.
  */
 
 #ifndef UNET_SIM_POOL_HH
@@ -76,41 +79,39 @@ class SlotRing
 };
 
 /**
- * A large byte buffer drawn from a per-thread recycling pool.
+ * A large byte buffer on its own anonymous private mapping.
  *
- * Fiber stacks and host memory arenas are allocated in bursts (a fresh
- * simulation per benchmark sweep point) and sit at sizes where glibc
- * serves them straight from mmap: every churn cycle then pays an mmap,
- * a page fault per touched page, and an munmap. Recycling the buffers
- * keeps the pages mapped and warm across simulations.
+ * Host memory arenas, Split-C heaps and fiber stacks are megabytes,
+ * of which a simulation touches a few pages. The kernel backs each
+ * page with zeros on first touch, so the buffer reads zero throughout
+ * without being cleared, and only the pages written become resident.
+ * Destruction unmaps it. calloc() would not do: glibc clears a chunk
+ * it did not just map, and its dynamic mmap threshold moves 8 MiB
+ * blocks onto the heap after the first one is freed.
  *
- * The storage is NOT zeroed on acquisition — callers that need zeroed
- * contents (e.g. host::Memory) must clear it themselves.
- *
- * Under the UNET_PERTURB run mode (sim/perturb.hh) acquisition is
- * address-salted: reuse picks pseudo-randomly among the pooled blocks
- * and fresh allocations carry a salted leading pad, so fiber stacks
- * and arenas land at different addresses under different salts. Code
- * whose simulated behaviour leaks host addresses (pointer-keyed
- * iteration, hashing a pointer into a decision) then diverges between
- * salts and is caught by the determinism suites.
+ * Under the UNET_PERTURB run mode (sim/perturb.hh) the usable area
+ * starts after a salted pad of 0..31 cache lines, so buffers land at
+ * different addresses under different salts. Code whose simulated
+ * behaviour leaks host addresses (pointer-keyed iteration, hashing a
+ * pointer into a decision) then diverges between salts and is caught
+ * by the determinism suites.
  */
-class RecycledBuffer
+class MappedBuffer
 {
   public:
-    explicit RecycledBuffer(std::size_t size);
-    ~RecycledBuffer();
+    explicit MappedBuffer(std::size_t size);
+    ~MappedBuffer();
 
-    RecycledBuffer(const RecycledBuffer &) = delete;
-    RecycledBuffer &operator=(const RecycledBuffer &) = delete;
+    MappedBuffer(const MappedBuffer &) = delete;
+    MappedBuffer &operator=(const MappedBuffer &) = delete;
 
     unsigned char *data() { return mem; }
     const unsigned char *data() const { return mem; }
     std::size_t size() const { return bytes; }
 
   private:
+    unsigned char *base; ///< start of the mapping, owned
     unsigned char *mem;  ///< usable storage (= base + salted pad)
-    unsigned char *base; ///< allocation origin, owned
     std::size_t bytes;   ///< usable size (excludes the pad)
 };
 

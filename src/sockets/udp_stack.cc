@@ -45,10 +45,15 @@ Socket::recvFrom(sim::Process &proc, sim::Tick timeout)
         }
     }
 
-    check::ContextGuard::Scope scope(bufGuard, "udp recvfrom pop");
-    Datagram dg = std::move(queue.front());
-    queue.pop_front();
-    queuedBytes -= dg.data.size();
+    Datagram dg;
+    {
+        // The copy below yields; the next delivery may then append to
+        // the queue, so the custody scope covers the pop alone.
+        check::ContextGuard::Scope scope(bufGuard, "udp recvfrom pop");
+        dg = std::move(queue.front());
+        queue.pop_front();
+        queuedBytes -= dg.data.size();
+    }
 
     // Copy from the socket buffer to user space.
     cpu.busy(proc, cpu.spec().memcpyTime(dg.data.size()));

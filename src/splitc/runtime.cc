@@ -11,7 +11,7 @@ using am::Word;
 Runtime::Runtime(UNet &unet, Endpoint &ep, int self, int nprocs,
                  std::size_t heap_bytes, am::AmSpec am_spec)
     : unet(unet), ep(ep), _self(self), _procs(nprocs),
-      _am(unet, ep, am_spec), heap(heap_bytes, 0),
+      _am(unet, ep, am_spec), heap(heap_bytes),
       channels(static_cast<std::size_t>(nprocs), invalidChannel)
 {
     stateGuard.setLabel(unet.host().name() + ".splitc.state");

@@ -13,7 +13,8 @@
  * Each node has a byte-addressable heap reachable from remote nodes.
  * SPMD programs allocate symmetrically — every node performs the same
  * allocations in the same order, so heap addresses agree across nodes
- * (the classic Split-C/SHMEM convention).
+ * (the classic Split-C/SHMEM convention). The heap reads zero until
+ * written (sim::MappedBuffer), so untouched megabytes cost nothing.
  *
  * Computation is charged explicitly through chargeFlops/chargeIntOps
  * using the host CPU's cost table (Pentium: fast integer; SPARC: fast
@@ -30,6 +31,7 @@
 
 #include "am/active_messages.hh"
 #include "check/access.hh"
+#include "sim/pool.hh"
 #include "splitc/global_ptr.hh"
 #include "splitc/profile.hh"
 
@@ -245,7 +247,7 @@ class Runtime
     am::ActiveMessages _am;     // hb-exempt(own per-channel custody)
     Profile _profile;           // hb-exempt(commutative metrics sink)
 
-    std::vector<std::uint8_t> heap; // hb-guarded(stateGuard)
+    sim::MappedBuffer heap;         // hb-guarded(stateGuard)
     std::size_t heapBrk = 0;        // hb-guarded(stateGuard)
 
     std::vector<ChannelId> channels; // hb-exempt(setup-time only)

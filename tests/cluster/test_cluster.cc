@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hh"
+#include "sim/perturb.hh"
 
 using namespace unet;
 using namespace unet::cluster;
@@ -122,9 +123,12 @@ TEST(Cluster, LatencySensitiveOrdering)
 
 /** Elapsed simulated time of one small SPMD program on every fabric.
  *  The cluster's wiring (host CPUs, MACs, switch ports, links) reaches
- *  these ticks. */
+ *  these ticks. They are the unperturbed schedule's: a perturbation
+ *  salt reorders contending same-tick requests and so moves a 4-node
+ *  cluster's elapsed time (DESIGN.md, multi-node contention). */
 TEST(Cluster, ElapsedTicksArePinned)
 {
+    sim::perturb::ScopedSalt unperturbed(0);
     const std::pair<Config, sim::Tick> rows[] = {
         {Config::feCluster(4, NetKind::FeBay28115), 763249382},
         {Config::feCluster(4, NetKind::FeHub), 1644894452},

@@ -237,10 +237,10 @@ TEST(Fiber, ExceptionFromBodyIsRethrownByRun)
 
 TEST(Fiber, StackRecycledFromFiberDestroyedMidYieldRunsCleanly)
 {
-    // Fibers of one stack size share pooled stacks. A fiber destroyed
-    // while suspended leaves its live frames' ASan redzones poisoned;
-    // the next fiber on that stack, which writes its first frame over
-    // them, must not trip over them.
+    // A fiber destroyed while suspended leaves its live frames' ASan
+    // redzones poisoned, and the next stack of that size is likely to
+    // be mapped at the same address; the next fiber, which writes its
+    // first frame over them, must not trip over them.
     constexpr std::size_t stack_bytes = 64 * 1024;
     auto parked = std::make_unique<Fiber>(
         [] {

@@ -195,13 +195,13 @@ TEST(Perturb, MixIsDeterministicAndSaltSensitive)
     EXPECT_NE(perturb::mix(1, 42), perturb::mix(1, 43));
 }
 
-TEST(Perturb, RecycledBuffersStayUsableUnderSalt)
+TEST(Perturb, MappedBuffersStayUsableUnderSalt)
 {
     // Address salting must not change the usable-size contract: every
-    // byte of data()..data()+size() is writable, across pool churn.
+    // byte of data()..data()+size() is writable, whatever the pad.
     perturb::ScopedSalt s(31337);
     for (int round = 0; round < 4; ++round) {
-        RecycledBuffer a(4096), b(4096), c(16384);
+        MappedBuffer a(4096), b(4096), c(16384);
         a.data()[0] = 1;
         a.data()[a.size() - 1] = 2;
         b.data()[0] = 3;
