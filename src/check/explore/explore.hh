@@ -24,24 +24,21 @@
  * enrolled CreditWindow and OwnershipTracker instances (check/
  * enroll.hh) — credit conservation and buffer-ownership legality
  * across every endpoint in the simulation, not per-endpoint — and
- * each closed config adds its own checkStep()/checkEnd() assertions
- * (ring bounds, exactly-once / in-order delivery). Violations arrive
- * as PanicException (sim/logging.hh) and carry the full decision
- * schedule, which serializes to a replay file (replay.hh) that
- * re-executes the exact interleaving.
+ * each scenario (check/scenario.hh) adds its own checkStep() and
+ * checkEnd() assertions (ring bounds, exactly-once / in-order
+ * delivery). Violations arrive as PanicException (sim/logging.hh) and
+ * carry the full decision schedule, which serializes to a replay file
+ * (replay.hh) that re-executes the exact interleaving.
  */
 
 #ifndef UNET_CHECK_EXPLORE_EXPLORE_HH
 #define UNET_CHECK_EXPLORE_EXPLORE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "obs/digest.hh"
-#include "sim/simulation.hh"
+#include "check/scenario.hh"
 
 namespace unet::check::explore {
 
@@ -57,45 +54,6 @@ struct Decision
 
 /** A complete or partial interleaving, as its choice-point picks. */
 using Schedule = std::vector<Decision>;
-
-/**
- * One instantiation of a closed configuration: the simulation plus its
- * invariant oracles. Destroyed and rebuilt for every explored run.
- */
-class ConfigInstance
-{
-  public:
-    virtual ~ConfigInstance() = default;
-
-    /** The simulation whose event queue the explorer drives. */
-    virtual sim::Simulation &simulation() = 0;
-
-    /** Invariants that must hold after every event. Panic on
-     *  violation (UNET_PANIC; the explorer converts it into a
-     *  counterexample). */
-    virtual void checkStep() {}
-
-    /** End-state invariants, evaluated once the queue drains:
-     *  exactly-once / in-order delivery, credits returned, rings
-     *  empty. */
-    virtual void checkEnd() {}
-
-    /** Fold config-specific progress state into the pruning digest.
-     *  Anything two *semantically different* states could share must
-     *  be mixed in here, or pruning will conflate them. */
-    virtual void mixState(obs::Digest &digest) const { (void)digest; }
-};
-
-/** A named closed configuration the explorer can instantiate. */
-class Config
-{
-  public:
-    virtual ~Config() = default;
-
-    virtual const char *name() const = 0;
-    virtual const char *description() const = 0;
-    virtual std::unique_ptr<ConfigInstance> make() const = 0;
-};
 
 /** Exploration bounds; 0 means unbounded. */
 struct Bounds
@@ -135,7 +93,7 @@ struct Options
      *  marked covered up to the abort point. */
     bool stopAtFirstViolation = true;
 
-    /** Perturbation salt applied while constructing the config
+    /** Perturbation salt applied while building the scenario
      *  (ring slot-reuse offsets); 0 = canonical layout. */
     std::uint64_t configSalt = 0;
 };
@@ -159,8 +117,8 @@ struct Result
     std::vector<Violation> violations;
 };
 
-/** Explore @p config's same-tick schedule space. */
-Result explore(const Config &config, const Options &options = {});
+/** Explore @p scenario's same-tick schedule space. */
+Result explore(const ScenarioEntry &scenario, const Options &options = {});
 
 /** Outcome of a single (replayed or salted) run. */
 struct RunOutcome
@@ -178,7 +136,8 @@ struct RunOutcome
  * Divergence — the run not reproducing the recorded choice points —
  * is itself reported as a violation.
  */
-RunOutcome runSchedule(const Config &config, const Schedule &schedule,
+RunOutcome runSchedule(const ScenarioEntry &scenario,
+                       const Schedule &schedule,
                        std::uint64_t config_salt = 0,
                        std::uint64_t max_steps = 1u << 20);
 
@@ -186,14 +145,8 @@ RunOutcome runSchedule(const Config &config, const Schedule &schedule,
  * Run once under the perturbation plane's salted tie-break (no
  * arbiter) — what a regular UNET_PERTURB test run would execute.
  */
-RunOutcome runSalted(const Config &config, std::uint64_t salt,
+RunOutcome runSalted(const ScenarioEntry &scenario, std::uint64_t salt,
                      std::uint64_t max_steps = 1u << 20);
-
-/** All registered closed configs. */
-const std::vector<const Config *> &configs();
-
-/** Look up a config by name; nullptr when unknown. */
-const Config *findConfig(std::string_view name);
 
 } // namespace unet::check::explore
 

@@ -52,7 +52,7 @@ globalInvariantSweep()
  *  pure history may only be *added* at the cost of weaker pruning,
  *  never removed if it affects the future. */
 std::uint64_t
-stateDigest(ConfigInstance &inst)
+stateDigest(Scenario &inst)
 {
     obs::Digest d;
     sim::Simulation &sim = inst.simulation();
@@ -102,7 +102,7 @@ class RunController : public sim::ScheduleArbiter
 {
   public:
     RunController(const Schedule &prefix, const Options &opts,
-                  ConfigInstance &inst,
+                  Scenario &inst,
                   std::set<std::uint64_t> &visited, bool branching)
         : prefix(prefix), opts(opts), inst(inst), visited(visited),
           branching(branching)
@@ -149,7 +149,7 @@ class RunController : public sim::ScheduleArbiter
 
     const Schedule &prefix;
     const Options &opts;
-    ConfigInstance &inst;
+    Scenario &inst;
     std::set<std::uint64_t> &visited;
     bool branching;
 
@@ -211,7 +211,7 @@ struct RunResult
 /** Drive one run to completion under @p arbiter (nullable: salted
  *  tie-break), evaluating the oracles after every event. */
 RunResult
-executeRun(ConfigInstance &inst, sim::ScheduleArbiter *arbiter,
+executeRun(Scenario &inst, sim::ScheduleArbiter *arbiter,
            std::uint64_t max_steps, std::uint64_t &steps_out)
 {
     sim::EventQueue &q = inst.simulation().events();
@@ -239,17 +239,17 @@ executeRun(ConfigInstance &inst, sim::ScheduleArbiter *arbiter,
     return rr;
 }
 
-std::unique_ptr<ConfigInstance>
-makeInstance(const Config &config, std::uint64_t config_salt)
+std::unique_ptr<Scenario>
+build(const ScenarioEntry &scenario, std::uint64_t config_salt)
 {
     sim::perturb::ScopedSalt salt(config_salt);
-    return config.make();
+    return scenario.make();
 }
 
 } // namespace
 
 Result
-explore(const Config &config, const Options &options)
+explore(const ScenarioEntry &scenario, const Options &options)
 {
     Result res;
     sim::ScopedPanicThrows throws_on;
@@ -267,7 +267,7 @@ explore(const Config &config, const Options &options)
         Schedule prefix = std::move(work.front());
         work.pop_front();
 
-        auto inst = makeInstance(config, options.configSalt);
+        auto inst = build(scenario, options.configSalt);
         RunController ctl(prefix, options, *inst, visited,
                           /*branching=*/true);
         std::uint64_t run_index = res.runs++;
@@ -300,14 +300,14 @@ explore(const Config &config, const Options &options)
 }
 
 RunOutcome
-runSchedule(const Config &config, const Schedule &schedule,
+runSchedule(const ScenarioEntry &scenario, const Schedule &schedule,
             std::uint64_t config_salt, std::uint64_t max_steps)
 {
     sim::ScopedPanicThrows throws_on;
     Options options;
     options.prune = false;
 
-    auto inst = makeInstance(config, config_salt);
+    auto inst = build(scenario, config_salt);
     std::set<std::uint64_t> visited;
     RunController ctl(schedule, options, *inst, visited,
                       /*branching=*/false);
@@ -321,11 +321,11 @@ runSchedule(const Config &config, const Schedule &schedule,
 }
 
 RunOutcome
-runSalted(const Config &config, std::uint64_t salt,
+runSalted(const ScenarioEntry &scenario, std::uint64_t salt,
           std::uint64_t max_steps)
 {
     sim::ScopedPanicThrows throws_on;
-    auto inst = makeInstance(config, salt);
+    auto inst = build(scenario, salt);
     RunOutcome out;
     RunResult rr = executeRun(*inst, nullptr, max_steps, out.steps);
     out.violated = rr.kind == RunKind::violated;

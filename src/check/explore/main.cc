@@ -19,6 +19,7 @@
 #include "check/explore/explore.hh"
 #include "check/explore/replay.hh"
 
+namespace check = unet::check;
 namespace explore = unet::check::explore;
 
 namespace {
@@ -26,7 +27,7 @@ namespace {
 int
 usage(std::ostream &os, int status)
 {
-    os << "usage: unet-explore <config> [options]\n"
+    os << "usage: unet-explore <scenario> [options]\n"
           "       unet-explore --replay <file>\n"
           "       unet-explore --list\n"
           "\n"
@@ -56,15 +57,6 @@ parseCount(const char *text, std::uint64_t &out)
 }
 
 int
-listConfigs()
-{
-    for (const explore::Config *config : explore::configs())
-        std::cout << config->name() << "\n    "
-                  << config->description() << "\n";
-    return 0;
-}
-
-int
 replayFile(const std::string &path)
 {
     auto replay = explore::loadReplay(path);
@@ -73,18 +65,18 @@ replayFile(const std::string &path)
                   << "\n";
         return 2;
     }
-    const explore::Config *config =
-        explore::findConfig(replay->config);
-    if (!config) {
-        std::cerr << "unet-explore: replay names unknown config '"
+    const check::ScenarioEntry *scenario =
+        check::findScenario(replay->config);
+    if (!scenario) {
+        std::cerr << "unet-explore: replay names unknown scenario '"
                   << replay->config << "'\n";
         return 2;
     }
     std::cout << "replaying " << replay->schedule.size()
-              << "-decision schedule of config '" << replay->config
+              << "-decision schedule of scenario '" << replay->config
               << "' (salt " << replay->configSalt << ")\n";
     explore::RunOutcome out = explore::runSchedule(
-        *config, replay->schedule, replay->configSalt);
+        *scenario, replay->schedule, replay->configSalt);
     if (out.violated) {
         std::cout << "reproduced after " << out.steps
                   << " events:\n  " << out.message << "\n";
@@ -101,7 +93,7 @@ replayFile(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    std::string config_name;
+    std::string scenario_name;
     std::string replay_path;
     std::string replay_out;
     explore::Options options;
@@ -120,7 +112,8 @@ main(int argc, char **argv)
         if (arg == "--help" || arg == "-h") {
             return usage(std::cout, 0);
         } else if (arg == "--list") {
-            return listConfigs();
+            check::listScenarios(std::cout);
+            return 0;
         } else if (arg == "--replay") {
             replay_path = value();
         } else if (arg == "--replay-out") {
@@ -142,8 +135,8 @@ main(int argc, char **argv)
         } else if (arg == "--keep-going") {
             options.stopAtFirstViolation = false;
         } else if (!arg.empty() && arg[0] != '-' &&
-                   config_name.empty()) {
-            config_name = arg;
+                   scenario_name.empty()) {
+            scenario_name = arg;
         } else {
             std::cerr << "unet-explore: bad argument '" << arg
                       << "'\n";
@@ -153,19 +146,20 @@ main(int argc, char **argv)
 
     if (!replay_path.empty())
         return replayFile(replay_path);
-    if (config_name.empty())
+    if (scenario_name.empty())
         return usage(std::cerr, 2);
 
-    const explore::Config *config = explore::findConfig(config_name);
-    if (!config) {
-        std::cerr << "unet-explore: unknown config '" << config_name
+    const check::ScenarioEntry *scenario =
+        check::findScenario(scenario_name);
+    if (!scenario) {
+        std::cerr << "unet-explore: unknown scenario '" << scenario_name
                   << "' (try --list)\n";
         return 2;
     }
 
-    std::cout << "exploring '" << config->name()
-              << "': " << config->description() << "\n";
-    explore::Result res = explore::explore(*config, options);
+    std::cout << "exploring '" << scenario->name
+              << "': " << scenario->description << "\n";
+    explore::Result res = explore::explore(*scenario, options);
 
     std::cout << "runs " << res.runs << ", pruned " << res.prunedRuns
               << ", choice points " << res.choicePoints
@@ -187,7 +181,7 @@ main(int argc, char **argv)
                   << v.message << "\n";
     if (!replay_out.empty()) {
         const explore::Violation &v = res.violations.front();
-        if (explore::saveReplay(replay_out, config->name(),
+        if (explore::saveReplay(replay_out, scenario->name,
                                 options.configSalt, v.message,
                                 v.schedule))
             std::cout << "replay written to " << replay_out << "\n";

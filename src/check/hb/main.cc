@@ -9,9 +9,11 @@
  *   unet-hb planted-ww            (expected to exit 1)
  *   unet-hb fig5 --salt 3         (replay under a perturbation salt)
  *
- * Exit status: 0 when the topology ran race-free, 1 when the auditor
- * flagged at least one cross-shard race, 2 on usage errors or when the
- * build has UNET_CHECK disabled.
+ * Runs any entry of the scenario registry (check/scenario.hh) that
+ * unet-explore runs. Exit status: 0 when the scenario ran race-free,
+ * 1 when the auditor flagged at least one cross-shard race, 2 on usage
+ * errors, when a planted race goes unflagged, or when the build has
+ * UNET_CHECK disabled.
  */
 
 #include <cstdlib>
@@ -21,7 +23,7 @@
 #include <string>
 
 #include "check/hb/report.hh"
-#include "check/hb/topos.hh"
+#include "check/scenario.hh"
 #include "sim/perturb.hh"
 
 #if !defined(UNET_CHECK) || !UNET_CHECK
@@ -36,6 +38,7 @@ main()
 
 #else
 
+namespace check = unet::check;
 namespace hb = unet::check::hb;
 
 namespace {
@@ -43,7 +46,7 @@ namespace {
 int
 usage(std::ostream &os, int status)
 {
-    os << "usage: unet-hb <topology> [options]\n"
+    os << "usage: unet-hb <scenario> [options]\n"
           "       unet-hb --list\n"
           "\n"
           "options:\n"
@@ -54,15 +57,6 @@ usage(std::ostream &os, int status)
           "  --salt N     run under UNET_PERTURB salt N (replay a "
           "flagged race)\n";
     return status;
-}
-
-int
-listTopos()
-{
-    for (const hb::Topo &t : hb::topologies())
-        std::cout << t.name << (t.planted ? "  [planted race]" : "")
-                  << "\n    " << t.summary << "\n";
-    return 0;
 }
 
 void
@@ -77,7 +71,7 @@ printSite(const hb::AccessSite &site, const std::string &domain)
 int
 main(int argc, char **argv)
 {
-    std::string topoName;
+    std::string name;
     std::string reportPath;
     bool verbose = false;
     std::uint64_t salt = 0;
@@ -87,13 +81,15 @@ main(int argc, char **argv)
         std::string arg = argv[i];
         if (arg == "--help" || arg == "-h")
             return usage(std::cout, 0);
-        if (arg == "--list")
-            return listTopos();
+        if (arg == "--list") {
+            check::listScenarios(std::cout);
+            return 0;
+        }
         if (arg == "--verbose") {
             verbose = true;
             continue;
         }
-        if (arg == "--report" || arg == "--salt" || arg == "--topo") {
+        if (arg == "--report" || arg == "--salt") {
             if (i + 1 >= argc) {
                 std::cerr << "unet-hb: " << arg
                           << " needs an argument\n";
@@ -102,8 +98,6 @@ main(int argc, char **argv)
             std::string value = argv[++i];
             if (arg == "--report") {
                 reportPath = value;
-            } else if (arg == "--topo") {
-                topoName = value;
             } else {
                 char *end = nullptr;
                 salt = std::strtoull(value.c_str(), &end, 10);
@@ -120,31 +114,31 @@ main(int argc, char **argv)
             std::cerr << "unet-hb: unknown option " << arg << "\n";
             return usage(std::cerr, 2);
         }
-        if (!topoName.empty()) {
-            std::cerr << "unet-hb: one topology per run (got '"
-                      << topoName << "' and '" << arg << "')\n";
+        if (!name.empty()) {
+            std::cerr << "unet-hb: one scenario per run (got '" << name
+                      << "' and '" << arg << "')\n";
             return 2;
         }
-        topoName = arg;
+        name = arg;
     }
 
-    if (topoName.empty())
+    if (name.empty())
         return usage(std::cerr, 2);
-    const hb::Topo *topo = hb::findTopo(topoName);
-    if (!topo) {
-        std::cerr << "unet-hb: unknown topology '" << topoName
+    const check::ScenarioEntry *scenario = check::findScenario(name);
+    if (!scenario) {
+        std::cerr << "unet-hb: unknown scenario '" << name
                   << "' (try --list)\n";
         return 2;
     }
 
-    hb::TopoResult result;
+    hb::AuditResult result;
     {
         // Scoped so a --salt override does not leak into atexit paths.
         std::unique_ptr<unet::sim::perturb::ScopedSalt> scoped;
         if (haveSalt)
             scoped = std::make_unique<unet::sim::perturb::ScopedSalt>(
                 salt);
-        result = hb::runTopo(topoName);
+        result = hb::audit(*scenario);
     }
 
     if (!reportPath.empty()) {
@@ -164,11 +158,11 @@ main(int argc, char **argv)
     }
 
     if (result.races.empty()) {
-        std::cerr << "unet-hb: " << topoName << ": no races ("
+        std::cerr << "unet-hb: " << name << ": no races ("
                   << result.objects.size() << " objects audited, "
                   << result.chains << " clock chains)\n";
-        if (topo->planted) {
-            std::cerr << "unet-hb: " << topoName
+        if (scenario->plantedRace) {
+            std::cerr << "unet-hb: " << name
                       << " carries a PLANTED race the auditor failed "
                          "to flag\n";
             return 2;
@@ -176,7 +170,7 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::cerr << "unet-hb: " << topoName << ": " << result.races.size()
+    std::cerr << "unet-hb: " << name << ": " << result.races.size()
               << " cross-shard race(s)\n";
     for (const hb::RaceRecord &race : result.races) {
         std::cerr << "  " << race.kind << " race on '" << race.object
@@ -184,7 +178,7 @@ main(int argc, char **argv)
         printSite(race.first, race.firstDomain);
         printSite(race.second, race.secondDomain);
         std::cerr << "    replay: UNET_PERTURB=" << race.salt
-                  << " unet-hb " << topoName << "\n";
+                  << " unet-hb " << name << "\n";
     }
     return 1;
 }

@@ -7,6 +7,7 @@
 #include <string_view>
 
 #include "check/access.hh"
+#include "check/scenario.hh"
 #include "sim/perturb.hh"
 
 namespace unet::check::hb {
@@ -162,6 +163,24 @@ reportString(const Auditor &auditor, const std::string &topology,
     std::ostringstream os;
     writeReport(auditor, topology, os, verbose);
     return os.str();
+}
+
+AuditResult
+audit(const ScenarioEntry &scenario)
+{
+    std::unique_ptr<Scenario> rig = scenario.make();
+    Auditor auditor(rig->simulation());
+    rig->simulation().run();
+    rig->checkEnd();
+
+    AuditResult r;
+    r.races = auditor.races();
+    r.objects = auditor.objects();
+    r.report = reportString(auditor, scenario.name);
+    r.reportVerbose =
+        reportString(auditor, scenario.name, /*verbose=*/true);
+    r.chains = auditor.chainCount();
+    return r;
 }
 
 } // namespace unet::check::hb

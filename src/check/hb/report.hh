@@ -3,8 +3,9 @@
  * Shardability report over an Auditor's observations.
  *
  * The report is the auditor's machine-readable product: for one
- * topology run, every instrumented object classified by how it could
- * live under the planned parallel-DES backend:
+ * scenario run (check/scenario.hh), every instrumented object
+ * classified by how it could live under the planned parallel-DES
+ * backend:
  *
  *  - "shard-local":  accessed under exactly one shard domain — the
  *    object can live wholly inside that shard with no cross-shard
@@ -18,7 +19,7 @@
  *    via check::Enrolled so coverage gaps are visible, not silent).
  *
  * The canonical form is byte-stable across UNET_PERTURB salts for
- * race-free topologies: objects sort by label, domains and edge names
+ * race-free scenarios: objects sort by label, domains and edge names
  * sort lexicographically, and volatile values (access counts, the
  * salt) are excluded — they land in the optional verbose section
  * only. CI diffs the canonical bytes across salts 1..5.
@@ -31,6 +32,10 @@
 #include <string>
 
 #include "check/hb/auditor.hh"
+
+namespace unet::check {
+struct ScenarioEntry;
+}
 
 namespace unet::check::hb {
 
@@ -50,6 +55,23 @@ void writeReport(const Auditor &auditor, const std::string &topology,
 std::string reportString(const Auditor &auditor,
                          const std::string &topology,
                          bool verbose = false);
+
+/** What one audited scenario run produced. */
+struct AuditResult
+{
+    std::vector<RaceRecord> races;
+    std::map<std::string, ObjectSummary> objects;
+    std::string report;        ///< canonical shardability report
+    std::string reportVerbose; ///< + counts and salt (non-canonical)
+    std::size_t chains = 0;    ///< clock chains the run needed
+};
+
+/**
+ * Audit one scenario: build @p scenario, attach an Auditor, run the
+ * event loop to quiescence and check the end-state oracles, then
+ * harvest the races and the report (named after the entry).
+ */
+AuditResult audit(const ScenarioEntry &scenario);
 
 } // namespace unet::check::hb
 

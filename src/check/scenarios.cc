@@ -1,12 +1,8 @@
 /**
  * @file
- * Closed configurations for the model checker.
- *
- * Each config is a small, fully self-contained simulation — nodes,
- * processes, traffic, and oracles — rebuilt from scratch for every
- * explored run. Kept deliberately tiny: the schedule space grows with
- * the number of same-tick permutable events, and these rigs exist to
- * be enumerated, not to be representative workloads.
+ * The scenario registry (check/scenario.hh): every closed rig the
+ * model checker enumerates and the happens-before auditor audits, each
+ * built once here.
  *
  *   fig5        two-node FE ping-pong (the Figure 5 rig), two rounds
  *               with distinct lengths for the in-order oracle
@@ -36,29 +32,54 @@
  *               the paged-out one: receive demux races LRU eviction,
  *               the send races its own page-in; exactly-once,
  *               capacity, and pin-safety oracles
+ *   serve       a small RPC serving cluster (clients -> switch ->
+ *               server) from the serving plane
+ *   planted-ww  two fibers on different shard domains write one
+ *               ResidencyCache with no ordering edge between them
+ *   planted-rw  fig5 plus a foreign-shard fiber that peeks node0's
+ *               send ring (read/write)
+ *
+ * The planted entries carry cross-shard races that prove the auditor
+ * fires; their delivery oracles still hold on every schedule.
  */
 
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "am/active_messages.hh"
 #include "atm/link.hh"
 #include "check/credits.hh"
-#include "check/explore/explore.hh"
+#include "check/scenario.hh"
 #include "eth/hub.hh"
 #include "eth/link.hh"
 #include "eth/switch.hh"
 #include "fault/attach.hh"
 #include "fault/fault.hh"
+#include "serve/rig.hh"
 #include "sim/logging.hh"
 #include "topo/topo.hh"
+#include "unet/vep/vep.hh"
 
-namespace unet::check::explore {
+namespace unet::check {
 
 namespace {
 
 using topo::FeNode;
+
+/** Endpoint with @p depth-deep send, receive and free queues and a
+ *  @p area-byte buffer area. */
+EndpointConfig
+smallEndpoint(std::size_t area, std::size_t depth = 8)
+{
+    EndpointConfig cfg;
+    cfg.sendQueueDepth = depth;
+    cfg.recvQueueDepth = depth;
+    cfg.freeQueueDepth = depth;
+    cfg.bufferAreaBytes = area;
+    return cfg;
+}
 
 /** Mix an endpoint's externally visible queue state. */
 void
@@ -73,7 +94,7 @@ mixEndpoint(obs::Digest &d, const Endpoint &ep)
 // ---------------------------------------------------------------- fig5
 
 /** Two-node ping-pong over a hub, as the Figure 5 latency rig. */
-class Fig5Instance : public ConfigInstance
+class Fig5 : public Scenario
 {
   public:
     static constexpr int rounds = 2;
@@ -87,19 +108,16 @@ class Fig5Instance : public ConfigInstance
         return 40 + 8 * static_cast<std::uint32_t>(round);
     }
 
-    Fig5Instance()
+    Fig5()
         : hub(s), a(s, hub, 0), b(s, hub, 1),
           ping(s, "ping", [this](sim::Process &p) { pingBody(p); }),
           echo(s, "echo", [this](sim::Process &p) { echoBody(p); })
     {
-        EndpointConfig cfg;
-        cfg.sendQueueDepth = 8;
-        cfg.recvQueueDepth = 8;
-        cfg.freeQueueDepth = 8;
-        cfg.bufferAreaBytes = 32 * 1024;
-        epA = &a.unet.createEndpoint(&ping, cfg);
-        epB = &b.unet.createEndpoint(&echo, cfg);
+        epA = &a.unet.createEndpoint(&ping, smallEndpoint(32 * 1024));
+        epB = &b.unet.createEndpoint(&echo, smallEndpoint(32 * 1024));
         UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
+        ping.bindShardDomain(a.host.name());
+        echo.bindShardDomain(b.host.name());
         echo.start();
         ping.start(sim::microseconds(5));
     }
@@ -186,6 +204,7 @@ class Fig5Instance : public ConfigInstance
         }
     }
 
+  protected:
     sim::Simulation s;
     eth::Hub hub;
     FeNode a, b;
@@ -203,21 +222,17 @@ class Fig5Instance : public ConfigInstance
  *  same-tick concurrency the explorer permutes), the fault plane
  *  drops a burst in the A->B direction, and Go-Back-N must recover
  *  to exactly-once, in-order delivery with all credits returned. */
-class RetransmitInstance : public ConfigInstance
+class Retransmit : public Scenario
 {
   public:
     static constexpr std::uint32_t messages = 3;
 
-    RetransmitInstance()
+    Retransmit()
         : link(s), a(s, link, 0), b(s, link, 1),
           procA(s, "A", [this](sim::Process &p) { body(p, 0); }),
           procB(s, "B", [this](sim::Process &p) { body(p, 1); })
     {
-        EndpointConfig cfg;
-        cfg.sendQueueDepth = 16;
-        cfg.recvQueueDepth = 16;
-        cfg.freeQueueDepth = 16;
-        cfg.bufferAreaBytes = 64 * 1024;
+        const EndpointConfig cfg = smallEndpoint(64 * 1024, 16);
         epA = &a.unet.createEndpoint(&procA, cfg);
         epB = &b.unet.createEndpoint(&procB, cfg);
         UNetFe::connect(a.unet, *epA, b.unet, *epB, chanA, chanB);
@@ -243,6 +258,8 @@ class RetransmitInstance : public ConfigInstance
         plan.model("eth.link.0").dropUnits = {1, 2};
         fault::attach(plan, s, link);
 
+        procA.bindShardDomain(a.host.name());
+        procB.bindShardDomain(b.host.name());
         // Same tick on both sides: their request trains and the
         // crossing ACK/data traffic are the permutable events.
         procA.start(sim::microseconds(5));
@@ -350,7 +367,7 @@ class RetransmitInstance : public ConfigInstance
  *  one receiving node (over a switch, so no CSMA/CD backoff widens
  *  the space): whatever order the frames reach the receive demux,
  *  each message must land on its own endpoint, exactly once. */
-class DemuxInstance : public ConfigInstance
+class Demux : public Scenario
 {
   public:
     static constexpr int lanes = 3;
@@ -361,18 +378,15 @@ class DemuxInstance : public ConfigInstance
         return 40 + static_cast<std::uint32_t>(lane);
     }
 
-    DemuxInstance() : sw(s), b(s, sw, lanes)
+    Demux() : sw(s), b(s, sw, lanes)
     {
-        EndpointConfig cfg;
-        cfg.sendQueueDepth = 8;
-        cfg.recvQueueDepth = 8;
-        cfg.freeQueueDepth = 8;
-        cfg.bufferAreaBytes = 16 * 1024;
+        const EndpointConfig cfg = smallEndpoint(16 * 1024);
         for (int i = 0; i < lanes; ++i) {
             nodes.push_back(std::make_unique<FeNode>(s, sw, i));
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
+            senders.back()->bindShardDomain(nodes.back()->host.name());
             epA.push_back(&nodes[static_cast<std::size_t>(i)]
                                ->unet.createEndpoint(
                                    senders.back().get(), cfg));
@@ -465,7 +479,7 @@ class DemuxInstance : public ConfigInstance
  * salt in 0..100 (verified by the test suite) — only enumeration
  * finds it.
  */
-class SeededBugInstance : public ConfigInstance
+class SeededCreditBug : public Scenario
 {
   public:
     static constexpr int events = 6;
@@ -478,7 +492,7 @@ class SeededBugInstance : public ConfigInstance
         return order;
     }
 
-    SeededBugInstance()
+    SeededCreditBug()
     {
         window.setLimit(4);
         window.acquire();
@@ -539,7 +553,7 @@ class SeededBugInstance : public ConfigInstance
  * step; a per-lane CreditWindow that must drain to zero (checked
  * globally by the explorer's invariant sweep at every choice point).
  */
-class SendvRaceInstance : public ConfigInstance
+class SendvRace : public Scenario
 {
   public:
     static constexpr int lanes = 3;
@@ -554,7 +568,7 @@ class SendvRaceInstance : public ConfigInstance
         return 16 + 8 * static_cast<std::uint32_t>(lane) + k;
     }
 
-    SendvRaceInstance()
+    SendvRace()
         : link(s, atm::LinkSpec::oc3()),
           hostA(s, "a", host::CpuSpec::pentium120(),
                 host::BusSpec::pci()),
@@ -563,15 +577,12 @@ class SendvRaceInstance : public ConfigInstance
           nicA(hostA, link), nicB(hostB, link), ua(hostA, nicA),
           ub(hostB, nicB)
     {
-        EndpointConfig cfg;
-        cfg.sendQueueDepth = 8;
-        cfg.recvQueueDepth = 8;
-        cfg.freeQueueDepth = 8;
-        cfg.bufferAreaBytes = 16 * 1024;
+        const EndpointConfig cfg = smallEndpoint(16 * 1024);
         for (int i = 0; i < lanes; ++i) {
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
+            senders.back()->bindShardDomain(hostA.name());
             epA.push_back(
                 &ua.createEndpoint(senders.back().get(), cfg));
             // Receiver endpoints have no process: messages are small,
@@ -707,7 +718,7 @@ class SendvRaceInstance : public ConfigInstance
  * exactly-once, in-order delivery at host B; ring audits and a
  * no-drop invariant each step.
  */
-class AtmCmdQueueInstance : public ConfigInstance
+class AtmCmdQueue : public Scenario
 {
   public:
     static constexpr int lanes = 2;
@@ -722,7 +733,7 @@ class AtmCmdQueueInstance : public ConfigInstance
         return 20 + 8 * static_cast<std::uint32_t>(lane) + k;
     }
 
-    AtmCmdQueueInstance()
+    AtmCmdQueue()
         : link(s, atm::LinkSpec::oc3()),
           hostA(s, "a", host::CpuSpec::pentium120(),
                 host::BusSpec::pci()),
@@ -731,15 +742,12 @@ class AtmCmdQueueInstance : public ConfigInstance
           nicA(hostA, link), nicB(hostB, link), ua(hostA, nicA),
           ub(hostB, nicB)
     {
-        EndpointConfig cfg;
-        cfg.sendQueueDepth = 8;
-        cfg.recvQueueDepth = 8;
-        cfg.freeQueueDepth = 8;
-        cfg.bufferAreaBytes = 16 * 1024;
+        const EndpointConfig cfg = smallEndpoint(16 * 1024);
         for (int i = 0; i < lanes; ++i) {
             senders.push_back(std::make_unique<sim::Process>(
                 s, "cmd" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
+            senders.back()->bindShardDomain(hostA.name());
             epA.push_back(
                 &ua.createEndpoint(senders.back().get(), cfg));
             // Receiver endpoints have no process: single-cell messages
@@ -862,7 +870,7 @@ class AtmCmdQueueInstance : public ConfigInstance
  * the interleaving, each lane's messages must arrive exactly once and
  * in per-lane order.
  */
-class UpcallInstance : public ConfigInstance
+class Upcall : public Scenario
 {
   public:
     static constexpr int lanes = 2;
@@ -874,13 +882,9 @@ class UpcallInstance : public ConfigInstance
         return 40 + 8 * static_cast<std::uint32_t>(lane) + k;
     }
 
-    UpcallInstance() : sw(s), b(s, sw, lanes)
+    Upcall() : sw(s), b(s, sw, lanes)
     {
-        EndpointConfig cfg;
-        cfg.sendQueueDepth = 8;
-        cfg.recvQueueDepth = 8;
-        cfg.freeQueueDepth = 8;
-        cfg.bufferAreaBytes = 16 * 1024;
+        const EndpointConfig cfg = smallEndpoint(16 * 1024);
         // The receiving endpoint has no process: the upcall IS the
         // receive discipline.
         epB = &b.unet.createEndpoint(nullptr, cfg);
@@ -895,6 +899,7 @@ class UpcallInstance : public ConfigInstance
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
+            senders.back()->bindShardDomain(nodes.back()->host.name());
             epA.push_back(&nodes[static_cast<std::size_t>(i)]
                                ->unet.createEndpoint(
                                    senders.back().get(), cfg));
@@ -1006,7 +1011,7 @@ class UpcallInstance : public ConfigInstance
  * scan is wrong), at least one fault is charged (endpoint 0 cannot
  * start resident), and every pin is released by quiescence.
  */
-class EpEvictInstance : public ConfigInstance
+class EpEvict : public Scenario
 {
   public:
     static constexpr int lanes = 3;
@@ -1020,15 +1025,12 @@ class EpEvictInstance : public ConfigInstance
 
     static constexpr std::uint32_t beeLength = 52;
 
-    EpEvictInstance()
+    EpEvict()
         : sw(s), b(s, sw, lanes, receiverSpec()), c(s, sw, lanes + 1),
           bee(s, "bee", [this](sim::Process &p) { beeBody(p); })
     {
-        EndpointConfig cfg;
-        cfg.sendQueueDepth = 8;
-        cfg.recvQueueDepth = 8;
-        cfg.freeQueueDepth = 8;
-        cfg.bufferAreaBytes = 16 * 1024;
+        const EndpointConfig cfg = smallEndpoint(16 * 1024);
+        bee.bindShardDomain(b.host.name());
         // Endpoint 0 first: the two later warms evict it, so it is
         // the guaranteed-cold endpoint both race arms contend over.
         for (int i = 0; i < lanes; ++i)
@@ -1042,6 +1044,7 @@ class EpEvictInstance : public ConfigInstance
             senders.push_back(std::make_unique<sim::Process>(
                 s, "send" + std::to_string(i),
                 [this, i](sim::Process &p) { senderBody(p, i); }));
+            senders.back()->bindShardDomain(nodes.back()->host.name());
             epA.push_back(&nodes[static_cast<std::size_t>(i)]
                                ->unet.createEndpoint(
                                    senders.back().get(), cfg));
@@ -1176,92 +1179,181 @@ class EpEvictInstance : public ConfigInstance
     ChannelId chanBee = invalidChannel, chanAtC = invalidChannel;
 };
 
-// ------------------------------------------------------------ registry
+// --------------------------------------------------------------- serve
 
-template <typename Instance>
-class SimpleConfig : public Config
+/** A small serving cluster from the RPC plane: two closed-loop
+ *  clients fan into one server across the Bay-28115 switch model.
+ *  ServeRig binds every fiber to its host's shard domain. */
+class ServeCluster : public Scenario
 {
   public:
-    SimpleConfig(const char *name, const char *description)
-        : _name(name), _description(description)
-    {}
-
-    const char *name() const override { return _name; }
-    const char *description() const override { return _description; }
-
-    std::unique_ptr<ConfigInstance>
-    make() const override
+    ServeCluster() : rig(spec())
     {
-        return std::make_unique<Instance>();
+        serve::Workload w;
+        w.closedLoop = true;
+        w.requestsPerClient = 4;
+        w.window = 1;
+        rig.start(w);
+    }
+
+    sim::Simulation &simulation() override { return rig.simulation(); }
+
+    void
+    checkEnd() override
+    {
+        serve::RunResult res = rig.result();
+        if (!res.finished)
+            UNET_PANIC("serve: rig did not quiesce");
+        if (res.completed == 0)
+            UNET_PANIC("serve: no request completed");
     }
 
   private:
-    const char *_name;
-    const char *_description;
+    static serve::RigSpec
+    spec()
+    {
+        serve::RigSpec spec;
+        spec.nic = serve::NicKind::Fe;
+        spec.clients = 2;
+        return spec;
+    }
+
+    serve::ServeRig rig;
 };
 
-const SimpleConfig<Fig5Instance> fig5Config{
-    "fig5",
-    "two-node FE ping-pong (Figure 5 rig), two rounds, in-order + "
-    "exactly-once oracles"};
+// ---------------------------------------------------------- planted-ww
 
-const SimpleConfig<RetransmitInstance> retransmitConfig{
-    "retransmit",
-    "burst loss inside an AM window; Go-Back-N recovery to "
-    "exactly-once delivery with credits conserved"};
+/** Two fibers on different shard domains write one ResidencyCache
+ *  with no scheduler edge between them: the canonical write/write
+ *  cross-shard race the parallel backend would hit. */
+class PlantedWw : public Scenario
+{
+  public:
+    PlantedWw()
+        : cache(s, {}, "planted.vep"),
+          writerA(s, "writerA", [this](sim::Process &) { cache.touch(1); }),
+          writerB(s, "writerB", [this](sim::Process &) { cache.touch(2); })
+    {
+        writerA.bindShardDomain("shardA");
+        writerB.bindShardDomain("shardB");
+        // Both start events are scheduled from the boot context before
+        // either ran, so neither fiber's clock covers the other: the
+        // two touches are concurrent under the happens-before model
+        // even though the serial event loop runs them 5us apart.
+        writerA.start(sim::microseconds(5));
+        writerB.start(sim::microseconds(10));
+    }
 
-const SimpleConfig<DemuxInstance> demuxConfig{
-    "demux",
-    "three same-tick senders into three endpoints of one node; the "
-    "receive-demux race"};
+    sim::Simulation &simulation() override { return s; }
 
-const SimpleConfig<SeededBugInstance> seededConfig{
-    "seeded-credit-bug",
-    "planted credit double-return on one of 720 same-tick orderings; "
-    "the regression salts miss"};
+  private:
+    sim::Simulation s;
+    vep::ResidencyCache cache;
+    sim::Process writerA, writerB;
+};
 
-const SimpleConfig<SendvRaceInstance> sendvRaceConfig{
-    "sendv-race",
-    "three overlapping sendv descriptor trains on one ATM adapter "
-    "racing the firmware tx polls; exactly-once + credit oracles"};
+// ---------------------------------------------------------- planted-rw
 
-const SimpleConfig<AtmCmdQueueInstance> atmCmdQueueConfig{
-    "atm-cmdqueue",
-    "scalar doorbell commands from two fibers on one ATM adapter "
-    "racing the i960 command-queue polls; exactly-once + in-order "
-    "oracles"};
+/** fig5 plus a foreign-shard monitor fiber that peeks node0's send
+ *  ring: a read/write cross-shard race on a Figure-1 ring. The spy's
+ *  start event predates all of node0's writes, so nothing orders them.
+ *  observe() is deliberate: a foreign READ is not a custody violation,
+ *  only a sharding hazard — exactly the class the custody plane alone
+ *  cannot catch. */
+class PlantedRw : public Fig5
+{
+  public:
+    PlantedRw() : spy(s, "spy", [this](sim::Process &) { peek(); })
+    {
+        spy.bindShardDomain("monitor");
+        spy.start(sim::microseconds(400));
+    }
 
-const SimpleConfig<UpcallInstance> upcallConfig{
-    "upcall",
-    "two senders race into one endpoint in the upcall receive model; "
-    "per-lane exactly-once + in-order oracles over activation "
-    "batching"};
+    void
+    checkEnd() override
+    {
+        Fig5::checkEnd();
+        if (!spy.finished())
+            UNET_PANIC("planted-rw: spy did not finish");
+    }
 
-const SimpleConfig<EpEvictInstance> epEvictConfig{
-    "ep-evict",
-    "receive demux races LRU eviction of a 2-slot endpoint hot set "
-    "while a local send races its own page-in; exactly-once + "
-    "capacity + pin-safety oracles"};
+  private:
+    void peek() { epA->sendGuard().observe("spy ring peek"); }
+
+    sim::Process spy;
+};
+
+// ------------------------------------------------------------ registry
+
+template <typename Rig>
+std::unique_ptr<Scenario>
+make()
+{
+    return std::make_unique<Rig>();
+}
+
+const ScenarioEntry table[] = {
+    {"fig5",
+     "two-node FE ping-pong (Figure 5 rig), two rounds, in-order + "
+     "exactly-once oracles", false, make<Fig5>},
+    {"retransmit",
+     "burst loss inside an AM window; Go-Back-N recovery to "
+     "exactly-once delivery with credits conserved", false,
+     make<Retransmit>},
+    {"demux",
+     "three same-tick senders into three endpoints of one node; the "
+     "receive-demux race", false, make<Demux>},
+    {"seeded-credit-bug",
+     "planted credit double-return on one of 720 same-tick orderings; "
+     "the regression salts miss", false, make<SeededCreditBug>},
+    {"sendv-race",
+     "three overlapping sendv descriptor trains on one ATM adapter "
+     "racing the firmware tx polls; exactly-once + credit oracles",
+     false, make<SendvRace>},
+    {"atm-cmdqueue",
+     "scalar doorbell commands from two fibers on one ATM adapter "
+     "racing the i960 command-queue polls; exactly-once + in-order "
+     "oracles", false, make<AtmCmdQueue>},
+    {"upcall",
+     "two senders race into one endpoint in the upcall receive model; "
+     "per-lane exactly-once + in-order oracles over activation "
+     "batching", false, make<Upcall>},
+    {"ep-evict",
+     "receive demux races LRU eviction of a 2-slot endpoint hot set "
+     "while a local send races its own page-in; exactly-once + "
+     "capacity + pin-safety oracles", false, make<EpEvict>},
+    {"serve", "two RPC clients fanning into one server", false,
+     make<ServeCluster>},
+    {"planted-ww", "planted write/write race on a ResidencyCache", true,
+     make<PlantedWw>},
+    {"planted-rw",
+     "planted read/write race on an endpoint send ring (fig5 + a "
+     "foreign-shard spy)", true, make<PlantedRw>},
+};
 
 } // namespace
 
-const std::vector<const Config *> &
-configs()
+std::span<const ScenarioEntry>
+scenarios()
 {
-    static const std::vector<const Config *> all = {
-        &fig5Config, &retransmitConfig, &demuxConfig, &seededConfig,
-        &sendvRaceConfig, &atmCmdQueueConfig, &upcallConfig,
-        &epEvictConfig};
-    return all;
+    return table;
 }
 
-const Config *
-findConfig(std::string_view name)
+const ScenarioEntry *
+findScenario(std::string_view name)
 {
-    for (const Config *config : configs())
-        if (name == config->name())
-            return config;
+    for (const ScenarioEntry &entry : table)
+        if (name == entry.name)
+            return &entry;
     return nullptr;
 }
 
-} // namespace unet::check::explore
+void
+listScenarios(std::ostream &os)
+{
+    for (const ScenarioEntry &entry : table)
+        os << entry.name << (entry.plantedRace ? "  [planted race]" : "")
+           << "\n    " << entry.description << "\n";
+}
+
+} // namespace unet::check

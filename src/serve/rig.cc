@@ -163,24 +163,34 @@ ServeRig::clientBody(sim::Process &p, int i)
 RunResult
 ServeRig::run(const Workload &w)
 {
+    start(w);
+    if (spec.simTimeLimit > 0)
+        sim.runUntil(started + spec.simTimeLimit);
+    else
+        sim.run();
+    return result();
+}
+
+void
+ServeRig::start(const Workload &w)
+{
     if (ran)
         UNET_FATAL("a ServeRig runs one workload; build another");
     ran = true;
     workload = w;
 
-    sim::Tick start = sim.now();
+    started = sim.now();
     procs[0]->start(sim::microseconds(1));
     // Distinct start ticks: no two client fibers ever share a
     // scheduling tick at startup (perturbation hygiene).
     for (int i = 0; i < spec.clients; ++i)
         procs[static_cast<std::size_t>(i) + 1]->start(
             sim::microseconds(10) + i);
+}
 
-    if (spec.simTimeLimit > 0)
-        sim.runUntil(start + spec.simTimeLimit);
-    else
-        sim.run();
-
+RunResult
+ServeRig::result() const
+{
     RunResult r;
     r.finished = true;
     for (auto &proc : procs)
@@ -219,7 +229,7 @@ ServeRig::run(const Workload &w)
     // Makespan ends at the last *completion*: the post-run drain and
     // ACK grace are protocol housekeeping, not served load.
     sim::Tick last = _stats->lastCompletion();
-    r.makespan = last > start ? last - start : 0;
+    r.makespan = last > started ? last - started : 0;
 
     r.issued = _stats->issued();
     r.completed = _stats->completed();

@@ -148,6 +148,12 @@ class ServeRig
     /** Run one workload to quiescence. Callable once per rig. */
     RunResult run(const Workload &w);
 
+    /** run() in two halves, for a caller that owns the event loop:
+     *  start() schedules the fibers, result() reads what they
+     *  measured once the loop has drained. */
+    void start(const Workload &w);
+    RunResult result() const;
+
     sim::Simulation &simulation() { return sim; }
     obs::Registry &metrics() { return sim.metrics(); }
     ServeStats &stats() { return *_stats; }
@@ -188,6 +194,7 @@ class ServeRig
     bool serverDone = false;
     bool ran = false;
     Workload workload;
+    sim::Tick started = 0;
 
     /** Last member: its injector metrics must unregister before the
      *  simulation's registry dies. */

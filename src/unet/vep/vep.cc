@@ -53,7 +53,7 @@ EndpointTable::destroy(std::size_t id)
 
 ResidencyCache::ResidencyCache(sim::Simulation &sim, const VepSpec &spec,
                                const std::string &metric_prefix)
-    : _sim(sim), _spec(spec),
+    : _spec(spec),
       _metrics(sim.metrics(), sim.metrics().uniquePrefix(metric_prefix))
 {
     // The unique metric prefix doubles as the shardability-report
@@ -71,7 +71,6 @@ ResidencyCache::ResidencyCache(sim::Simulation &sim, const VepSpec &spec,
     _metrics.gauge("pinned", [this] {
         return static_cast<double>(_pinnedCount);
     });
-    _metrics.histogram("pinLatencyNs", _pinNs);
 }
 
 ResidencyCache::Entry &
@@ -154,10 +153,8 @@ ResidencyCache::pin(std::size_t id)
     if (!e.resident)
         UNET_PANIC("pinning non-resident endpoint ", id,
                    " (touch it first)");
-    if (e.pins++ == 0) {
-        e.pinnedAt = _sim.now();
+    if (e.pins++ == 0)
         ++_pinnedCount;
-    }
 }
 
 void
@@ -167,11 +164,8 @@ ResidencyCache::unpin(std::size_t id)
     Entry &e = entryFor(id);
     if (e.pins == 0)
         UNET_PANIC("unpinning endpoint ", id, " with no pin held");
-    if (--e.pins == 0) {
+    if (--e.pins == 0)
         --_pinnedCount;
-        _pinNs.record(
-            static_cast<std::uint64_t>(_sim.now() - e.pinnedAt) / 1000);
-    }
 }
 
 void

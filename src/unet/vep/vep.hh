@@ -151,8 +151,7 @@ class ResidencyCache
 {
   public:
     /**
-     * @param sim           Simulation (pin-latency timestamps, metrics
-     *                      registry).
+     * @param sim           Simulation (metrics registry).
      * @param spec          Capacity and fault costs.
      * @param metric_prefix Registry prefix, e.g. "host.a.unet.vep"
      *                      (made unique internally).
@@ -187,7 +186,7 @@ class ResidencyCache
     /**
      * Open an in-flight custody window on @p id (must be resident):
      * the endpoint cannot be evicted until the matching unpin(). Pins
-     * nest; the pin-latency histogram records the outermost window.
+     * nest.
      */
     void pin(std::size_t id);
     void unpin(std::size_t id);
@@ -203,7 +202,6 @@ class ResidencyCache
     std::uint64_t faults() const { return _faults.value(); }
     std::uint64_t evictions() const { return _evictions.value(); }
     std::uint64_t hits() const { return _hits.value(); }
-    const obs::Histogram &pinLatencyNs() const { return _pinNs; }
 
     /**
      * Order-independent digest of (id, touch-sequence, pinned,
@@ -220,7 +218,6 @@ class ResidencyCache
     struct Entry
     {
         std::uint64_t lastTouch = 0;
-        sim::Tick pinnedAt = 0;
         std::uint32_t pins = 0;
         bool resident = false;
     };
@@ -231,7 +228,6 @@ class ResidencyCache
      *  evicted to make room. */
     bool insertResident(Entry &e, std::size_t id);
 
-    sim::Simulation &_sim;                // hb-exempt(reference, set once)
     VepSpec _spec;                        // hb-exempt(const after ctor)
     std::vector<Entry> _entries;          // hb-guarded(_guard)
     /** Resident ids, unordered; eviction min-scans lastTouch. */
@@ -242,7 +238,6 @@ class ResidencyCache
     sim::Counter _faults;                 // hb-exempt(commutative metrics sink)
     sim::Counter _evictions;              // hb-exempt(commutative metrics sink)
     sim::Counter _hits;                   // hb-exempt(commutative metrics sink)
-    obs::Histogram _pinNs;                // hb-exempt(commutative metrics sink)
 
     obs::MetricGroup _metrics;            // hb-exempt(registration RAII)
 

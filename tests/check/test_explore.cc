@@ -1,29 +1,61 @@
 /**
  * @file
- * Tests of the schedule-space model checker: exhaustive exploration
- * finds the planted order-dependence bug that a hundred perturbation
- * salts miss, and a serialized counterexample replays bit-for-bit.
+ * Tests of the scenario registry and the schedule-space model checker:
+ * every entry is findable and holds its oracles under salted runs,
+ * exhaustive exploration finds the planted order-dependence bug that a
+ * hundred perturbation salts miss, and a serialized counterexample
+ * replays bit-for-bit.
  */
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "check/explore/explore.hh"
 #include "check/explore/replay.hh"
 
+namespace check = unet::check;
 namespace explore = unet::check::explore;
 
 namespace {
 
-const explore::Config &
-config(const char *name)
+const check::ScenarioEntry &
+scenario(const char *name)
 {
-    const explore::Config *c = explore::findConfig(name);
-    if (!c)
-        throw std::runtime_error(std::string("unknown config ") +
+    const check::ScenarioEntry *s = check::findScenario(name);
+    if (!s)
+        throw std::runtime_error(std::string("unknown scenario ") +
                                  name);
-    return *c;
+    return *s;
+}
+
+// --- the registry ----------------------------------------------------
+
+/** Every entry is named, described, unique, and found by its name. */
+TEST(ScenarioRegistry, EntriesAreUniqueAndFindable)
+{
+    std::set<std::string> names;
+    for (const check::ScenarioEntry &entry : check::scenarios()) {
+        EXPECT_TRUE(names.insert(entry.name).second) << entry.name;
+        EXPECT_EQ(check::findScenario(entry.name), &entry) << entry.name;
+        EXPECT_STRNE(entry.description, "") << entry.name;
+        EXPECT_NE(entry.make, nullptr) << entry.name;
+    }
+    EXPECT_GE(names.size(), 11u);
+    EXPECT_EQ(check::findScenario("no-such-scenario"), nullptr);
+}
+
+/** Salted runs are single paths through the space the explorer
+ *  covers: every entry, planted ones included, holds its oracles. */
+TEST(ScenarioRegistry, EveryEntryHoldsUnderSaltedRuns)
+{
+    for (const check::ScenarioEntry &entry : check::scenarios())
+        for (std::uint64_t salt = 0; salt <= 2; ++salt) {
+            explore::RunOutcome out = explore::runSalted(entry, salt);
+            EXPECT_FALSE(out.violated) << entry.name << " salt " << salt
+                                       << ": " << out.message;
+        }
 }
 
 // --- the seeded interleaving bug -------------------------------------
@@ -43,7 +75,7 @@ constexpr const char *uncheckedReason =
  *  sweeps — all miss the planted credit double-return. */
 TEST(ExploreSeededBug, SaltsMissIt)
 {
-    const explore::Config &c = config("seeded-credit-bug");
+    const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     for (std::uint64_t salt = 0; salt <= 100; ++salt) {
         explore::RunOutcome out = explore::runSalted(c, salt);
         EXPECT_FALSE(out.violated)
@@ -59,7 +91,7 @@ TEST(ExploreSeededBug, ExplorationFindsIt)
 {
     if (!creditChecked)
         GTEST_SKIP() << uncheckedReason;
-    const explore::Config &c = config("seeded-credit-bug");
+    const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Result res = explore::explore(c);
     ASSERT_EQ(res.violations.size(), 1u);
     EXPECT_NE(res.violations[0].message.find("credit underflow"),
@@ -76,7 +108,7 @@ TEST(ExploreSeededBug, FullSpaceIs720Schedules)
 {
     if (!creditChecked)
         GTEST_SKIP() << uncheckedReason;
-    const explore::Config &c = config("seeded-credit-bug");
+    const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Options opts;
     opts.prune = false; // every permutation is a distinct end state
     opts.stopAtFirstViolation = false;
@@ -94,7 +126,7 @@ TEST(ExploreSeededBug, CounterexampleReplays)
 {
     if (!creditChecked)
         GTEST_SKIP() << uncheckedReason;
-    const explore::Config &c = config("seeded-credit-bug");
+    const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Result res = explore::explore(c);
     ASSERT_EQ(res.violations.size(), 1u);
     const explore::Violation &v = res.violations[0];
@@ -122,17 +154,17 @@ TEST(ExploreReplayFile, RoundTrip)
 {
     if (!creditChecked)
         GTEST_SKIP() << uncheckedReason;
-    const explore::Config &c = config("seeded-credit-bug");
+    const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Result res = explore::explore(c);
     ASSERT_EQ(res.violations.size(), 1u);
     const explore::Violation &v = res.violations[0];
 
     std::ostringstream os;
-    explore::writeReplay(os, c.name(), 0, v.message, v.schedule);
+    explore::writeReplay(os, c.name, 0, v.message, v.schedule);
     std::istringstream is(os.str());
     auto replay = explore::readReplay(is);
     ASSERT_TRUE(replay.has_value());
-    EXPECT_EQ(replay->config, c.name());
+    EXPECT_EQ(replay->config, c.name);
     EXPECT_EQ(replay->configSalt, 0u);
     ASSERT_EQ(replay->schedule.size(), v.schedule.size());
     for (std::size_t i = 0; i < v.schedule.size(); ++i) {
@@ -170,15 +202,15 @@ TEST(ExploreReplayFile, RejectsMalformedInput)
     EXPECT_FALSE(explore::readReplay(unknown_key).has_value());
 }
 
-// --- closed configs --------------------------------------------------
+// --- exhaustive scenarios --------------------------------------------
 
-/** Exact exploration statistics of every exhaustive config. A refactor
+/** Exact exploration statistics of every exhaustive scenario. A refactor
  *  that shifts event order changes these counts even when it shifts
  *  every perturbation salt together, which the salted digest
  *  comparisons cannot see. An intended change updates this table. */
 struct Pinned
 {
-    const char *config;
+    const char *scenario;
     std::uint64_t runs;
     std::uint64_t prunedRuns;
     std::uint64_t choicePoints;
@@ -192,6 +224,7 @@ constexpr Pinned kExhaustive[] = {
     {"atm-cmdqueue", 3, 1, 6},
     {"upcall", 13, 11, 101},
     {"ep-evict", 98, 94, 1268},
+    {"serve", 2, 0, 2},
 };
 
 /** Explore @p name to completion and compare with its table row. */
@@ -200,12 +233,12 @@ expectPinned(const char *name)
 {
     const Pinned *pin = nullptr;
     for (const Pinned &p : kExhaustive)
-        if (std::string(p.config) == name)
+        if (std::string(p.scenario) == name)
             pin = &p;
     if (!pin)
         throw std::runtime_error(std::string("no pinned row for ") +
                                  name);
-    explore::Result res = explore::explore(config(name));
+    explore::Result res = explore::explore(scenario(name));
     EXPECT_TRUE(res.complete) << name;
     EXPECT_TRUE(res.violations.empty()) << name;
     EXPECT_EQ(res.runs, pin->runs) << name;
@@ -237,7 +270,7 @@ TEST(ExploreConfigs, SendvRaceExhausts)
 }
 
 /** Pruning soundness with the fiber-progress digest token: the
- *  retransmit config (timer-driven go-back-N) must still exhaust
+ *  retransmit scenario (timer-driven go-back-N) must still exhaust
  *  violation-free with the pinned amount of pruning. */
 TEST(ExploreConfigs, RetransmitExhaustsWithPruning)
 {
@@ -250,11 +283,15 @@ TEST(ExploreConfigs, UpcallExhausts) { expectPinned("upcall"); }
 
 TEST(ExploreConfigs, EpEvictExhausts) { expectPinned("ep-evict"); }
 
-/** Salted runs of a violation-free config are one path each through
+/** The serving cluster exhausts too: the explorer owns ServeRig's event
+ *  loop, so a full RPC rig is enumerable like the hand-built ones. */
+TEST(ExploreConfigs, ServeExhausts) { expectPinned("serve"); }
+
+/** Salted runs of a violation-free scenario are one path each through
  *  the same space the explorer covers. */
 TEST(ExploreConfigs, DemuxSaltedRunsAreClean)
 {
-    const explore::Config &c = config("demux");
+    const check::ScenarioEntry &c = scenario("demux");
     for (std::uint64_t salt = 0; salt < 5; ++salt) {
         explore::RunOutcome out = explore::runSalted(c, salt);
         EXPECT_FALSE(out.violated) << "salt " << salt << ": "
@@ -263,11 +300,11 @@ TEST(ExploreConfigs, DemuxSaltedRunsAreClean)
 }
 
 /** Exploration is itself deterministic: two explorations of the same
- *  config report identical statistics. */
+ *  scenario report identical statistics. */
 TEST(ExploreConfigs, ExplorationIsDeterministic)
 {
-    explore::Result first = explore::explore(config("demux"));
-    explore::Result second = explore::explore(config("demux"));
+    explore::Result first = explore::explore(scenario("demux"));
+    explore::Result second = explore::explore(scenario("demux"));
     EXPECT_EQ(first.runs, second.runs);
     EXPECT_EQ(first.prunedRuns, second.prunedRuns);
     EXPECT_EQ(first.choicePoints, second.choicePoints);
@@ -277,7 +314,7 @@ TEST(ExploreConfigs, ExplorationIsDeterministic)
 
 TEST(ExploreBounds, RunBoundStopsEarly)
 {
-    const explore::Config &c = config("seeded-credit-bug");
+    const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Options opts;
     opts.prune = false;
     opts.stopAtFirstViolation = false;
@@ -289,7 +326,7 @@ TEST(ExploreBounds, RunBoundStopsEarly)
 
 TEST(ExploreBounds, DepthBoundDefersBranches)
 {
-    const explore::Config &c = config("seeded-credit-bug");
+    const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Options opts;
     opts.prune = false;
     opts.stopAtFirstViolation = false;
@@ -304,7 +341,7 @@ TEST(ExploreBounds, DepthBoundDefersBranches)
 
 TEST(ExploreBounds, WidthBoundSamplesFrontier)
 {
-    const explore::Config &c = config("seeded-credit-bug");
+    const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Options opts;
     opts.prune = false;
     opts.stopAtFirstViolation = false;

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the happens-before race auditor: planted cross-shard races
- * are detected with both access sites attributed and a replayable
- * salt, the clean reference topologies audit race-free, the canonical
- * shardability report is byte-stable across perturbation salts, and
- * the fiber suspension-point digest distinguishes states the explorer
- * would otherwise over-prune together.
+ * Tests for the happens-before race auditor over the scenario
+ * registry: planted cross-shard races are detected with both access
+ * sites attributed and a replayable salt, every clean scenario audits
+ * race-free with a canonical shardability report that is byte-stable
+ * across perturbation salts, and the fiber suspension-point digest
+ * distinguishes states the explorer would otherwise over-prune
+ * together.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,7 @@
 #include <string>
 
 #include "check/hb/report.hh"
-#include "check/hb/topos.hh"
+#include "check/scenario.hh"
 #include "sim/perturb.hh"
 #include "sim/process.hh"
 #include "sim/simulation.hh"
@@ -26,9 +27,24 @@ using namespace unet::check;
 
 #if defined(UNET_CHECK) && UNET_CHECK
 
+namespace {
+
+/** Audit the registry entry @p name. */
+hb::AuditResult
+audit(const char *name)
+{
+    const ScenarioEntry *entry = findScenario(name);
+    if (!entry)
+        throw std::runtime_error(std::string("unknown scenario ") +
+                                 name);
+    return hb::audit(*entry);
+}
+
+} // namespace
+
 TEST(HbPlanted, WriteWriteRaceOnResidencyCache)
 {
-    hb::TopoResult r = hb::runTopo("planted-ww");
+    hb::AuditResult r = audit("planted-ww");
     ASSERT_FALSE(r.races.empty())
         << "the planted W/W race was not detected";
 
@@ -63,7 +79,7 @@ TEST(HbPlanted, WriteWriteRaceOnResidencyCache)
 
 TEST(HbPlanted, ReadWriteRaceOnSendRing)
 {
-    hb::TopoResult r = hb::runTopo("planted-rw");
+    hb::AuditResult r = audit("planted-rw");
     ASSERT_FALSE(r.races.empty())
         << "the planted R/W race was not detected";
 
@@ -95,18 +111,23 @@ TEST(HbPlanted, ReadWriteRaceOnSendRing)
 TEST(HbPlanted, DetectionHoldsUnderPerturbation)
 {
     // The planted races are ordering *structure*, not schedule
-    // accidents: every perturbation salt must find them.
-    for (std::uint64_t salt = 1; salt <= 3; ++salt) {
-        sim::perturb::ScopedSalt scoped(salt);
-        hb::TopoResult r = hb::runTopo("planted-ww");
-        ASSERT_FALSE(r.races.empty()) << "salt " << salt;
-        EXPECT_EQ(r.races.front().salt, salt);
+    // accidents: every perturbation salt must find every one of them.
+    for (const ScenarioEntry &entry : scenarios()) {
+        if (!entry.plantedRace)
+            continue;
+        for (std::uint64_t salt = 1; salt <= 3; ++salt) {
+            sim::perturb::ScopedSalt scoped(salt);
+            hb::AuditResult r = hb::audit(entry);
+            ASSERT_FALSE(r.races.empty())
+                << entry.name << " salt " << salt;
+            EXPECT_EQ(r.races.front().salt, salt);
+        }
     }
 }
 
 TEST(HbClean, Fig5IsRaceFree)
 {
-    hb::TopoResult r = hb::runTopo("fig5");
+    hb::AuditResult r = audit("fig5");
     EXPECT_TRUE(r.races.empty())
         << r.races.size() << " race(s); first on '"
         << r.races.front().object << "'";
@@ -118,9 +139,11 @@ TEST(HbClean, Fig5IsRaceFree)
               std::string::npos);
 }
 
+/** The fault scenario is the explorer's "retransmit" entry: a burst
+ *  of loss on one link inside an AM window, recovered by go-back-N. */
 TEST(HbClean, FaultScenarioIsRaceFree)
 {
-    hb::TopoResult r = hb::runTopo("fault");
+    hb::AuditResult r = audit("retransmit");
     EXPECT_TRUE(r.races.empty())
         << r.races.size() << " race(s); first on '"
         << r.races.front().object << "'";
@@ -128,7 +151,7 @@ TEST(HbClean, FaultScenarioIsRaceFree)
 
 TEST(HbClean, ServeRigIsRaceFree)
 {
-    hb::TopoResult r = hb::runTopo("serve");
+    hb::AuditResult r = audit("serve");
     EXPECT_TRUE(r.races.empty())
         << r.races.size() << " race(s); first on '"
         << r.races.front().object << "'";
@@ -138,51 +161,49 @@ TEST(HbClean, ServeRigIsRaceFree)
 
 TEST(HbReport, CanonicalReportStableAcrossSalts)
 {
-    // The canonical report reflects happens-before structure; the
+    // Every scenario without a planted race audits race-free. Its
+    // canonical report reflects happens-before structure; the
     // perturbation salts change same-tick schedules and addresses,
     // neither of which may leak into the report bytes.
-    hb::TopoResult base = hb::runTopo("fig5");
-    for (std::uint64_t salt = 1; salt <= 5; ++salt) {
-        sim::perturb::ScopedSalt scoped(salt);
-        hb::TopoResult r = hb::runTopo("fig5");
-        EXPECT_EQ(base.report, r.report)
-            << "fig5 report diverges under salt " << salt;
+    for (const ScenarioEntry &entry : scenarios()) {
+        if (entry.plantedRace)
+            continue;
+        hb::AuditResult base = hb::audit(entry);
+        EXPECT_TRUE(base.races.empty())
+            << entry.name << ": " << base.races.size()
+            << " race(s); first on '" << base.races.front().object
+            << "'";
+        for (std::uint64_t salt = 1; salt <= 5; ++salt) {
+            sim::perturb::ScopedSalt scoped(salt);
+            EXPECT_EQ(base.report, hb::audit(entry).report)
+                << entry.name << " report diverges under salt " << salt;
+        }
     }
 }
 
 TEST(HbReport, VerboseSectionIsSupplemental)
 {
-    hb::TopoResult r = hb::runTopo("planted-ww");
+    hb::AuditResult r = audit("planted-ww");
     // The verbose form strictly extends the canonical form.
     EXPECT_NE(r.reportVerbose, r.report);
     EXPECT_NE(r.reportVerbose.find("\"verbose\""), std::string::npos);
     EXPECT_EQ(r.report.find("\"verbose\""), std::string::npos);
 }
 
-/** The canonical reports of the clean topologies, byte for byte
+/** The canonical reports of three clean scenarios, byte for byte
  *  against the copies under tests/check/golden/. Regenerate one with
- *  `unet-hb <topo> --report tests/check/golden/hb_<topo>.json` and
- *  explain the change. */
+ *  `unet-hb <scenario> --report tests/check/golden/hb_<scenario>.json`
+ *  and explain the change. */
 TEST(HbReport, CleanReportsMatchGolden)
 {
-    for (const char *name : {"fig5", "fault", "serve"}) {
+    for (const char *name : {"fig5", "retransmit", "serve"}) {
         std::ifstream in(std::string(UNET_HB_GOLDEN_DIR) + "/hb_" +
                          name + ".json");
         ASSERT_TRUE(in) << "missing golden report for " << name;
         std::stringstream want;
         want << in.rdbuf();
-        EXPECT_EQ(hb::runTopo(name).report, want.str()) << name;
+        EXPECT_EQ(audit(name).report, want.str()) << name;
     }
-}
-
-TEST(HbTopos, RegistryIsConsistent)
-{
-    EXPECT_GE(hb::topologies().size(), 5u);
-    for (const hb::Topo &t : hb::topologies()) {
-        EXPECT_NE(hb::findTopo(t.name), nullptr) << t.name;
-        EXPECT_FALSE(t.summary.empty()) << t.name;
-    }
-    EXPECT_EQ(hb::findTopo("no-such-topo"), nullptr);
 }
 
 #endif // UNET_CHECK

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "obs/digest.hh"
 #include "serve/rig.hh"
 #include "sim/perturb.hh"
@@ -120,24 +122,32 @@ TEST(ServeSoak, MetricsDigestStableAcrossPerturbSalts)
         EXPECT_EQ(runDigest(salt), base) << "salt " << salt;
 }
 
+/** The same contract over ATM, open loop at 14 000 req/s offered:
+ *  16 clients x 12 requests, and the serve_slo curve point atm_c4_u50
+ *  (4 clients x 300 requests), whose long per-client streams put one
+ *  endpoint's custody windows back to back on a single tick. */
 TEST(ServeSoak, AtmMetricsDigestStableAcrossPerturbSalts)
 {
-    auto runDigest = [](std::uint64_t salt) {
+    auto runDigest = [](int clients, int requests, std::uint64_t salt) {
         sim::perturb::ScopedSalt scoped(salt);
         serve::RigSpec spec;
         spec.nic = serve::NicKind::Atm;
-        spec.clients = 16;
+        spec.clients = clients;
         spec.seed = 1;
         serve::ServeRig rig(spec);
         serve::Workload w;
-        w.requestsPerClient = 12;
-        w.meanGap = static_cast<sim::Tick>(16.0 * 1e12 / 14000.0);
+        w.requestsPerClient = requests;
+        w.meanGap = static_cast<sim::Tick>(clients * 1e12 / 14000.0);
         serve::RunResult r = rig.run(w);
-        EXPECT_TRUE(r.finished) << "salt " << salt;
+        EXPECT_TRUE(r.finished) << clients << " clients, salt " << salt;
         return obs::digestOf(rig.metrics());
     };
 
-    std::uint64_t base = runDigest(0);
-    for (std::uint64_t salt = 1; salt <= 5; ++salt)
-        EXPECT_EQ(runDigest(salt), base) << "salt " << salt;
+    for (auto [clients, requests] :
+         {std::pair{16, 12}, std::pair{4, 300}}) {
+        std::uint64_t base = runDigest(clients, requests, 0);
+        for (std::uint64_t salt = 1; salt <= 5; ++salt)
+            EXPECT_EQ(runDigest(clients, requests, salt), base)
+                << clients << " clients, salt " << salt;
+    }
 }
