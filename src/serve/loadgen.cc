@@ -71,9 +71,13 @@ runOpenLoop(sim::Process &proc, RpcClient &client,
         if (proc.simulation().now() > next + sim::microseconds(1))
             client.serveStats().countLate();
         // The epoch is the *intended* arrival even when we are late:
-        // open-loop latency includes client-side queueing delay.
-        if (!client.issue(proc, method, next, payload))
+        // open-loop latency includes client-side queueing delay. A dead
+        // channel still retires its window, so every issued request
+        // ends completed or given up.
+        if (!client.issue(proc, method, next, payload)) {
+            finish(proc, client, params);
             return false;
+        }
 
         next = alignToResidue(next + rng.exponentialTicks(spec.meanGap),
                               params.stride, params.clientIndex);

@@ -14,8 +14,8 @@ EventQueue::~EventQueue()
     while (!heap.empty()) {
         HeapEntry entry = heap.front();
         popHeap();
-        Record &rec = recordAt(entry.slot);
-        if (rec.seq == entry.seq && rec.state == Record::State::pending) {
+        if (live(entry)) {
+            Record &rec = recordAt(entry.slot);
             destroyAction(rec);
             rec.state = Record::State::free;
         }
@@ -77,11 +77,8 @@ EventQueue::compactIfWorthwhile()
     // absorb them for free. The floor avoids thrashing tiny queues.
     if (heap.size() < 64 || _deadInHeap * 2 <= heap.size())
         return;
-    std::erase_if(heap, [this](const HeapEntry &entry) {
-        const Record &rec = recordAt(entry.slot);
-        return rec.seq != entry.seq ||
-            rec.state != Record::State::pending;
-    });
+    std::erase_if(heap,
+                  [this](const HeapEntry &entry) { return !live(entry); });
     std::make_heap(heap.begin(), heap.end(), laterThan);
     _deadInHeap = 0;
     ++_compactions;
@@ -91,16 +88,7 @@ bool
 EventQueue::stepChoice()
 {
     // Purge stale entries so the true minimum tick is on top.
-    while (!heap.empty()) {
-        const HeapEntry &top = heap.front();
-        const Record &rec = recordAt(top.slot);
-        if (rec.seq != top.seq || rec.state != Record::State::pending) {
-            popHeap();
-            --_deadInHeap;
-            continue;
-        }
-        break;
-    }
+    dropDeadTop();
     if (heap.empty())
         return false;
 
@@ -120,12 +108,9 @@ EventQueue::stepChoice()
     std::uint64_t depSeq = ~std::uint64_t{0};
     for (std::size_t i = 0; i < heap.size(); ++i) {
         const HeapEntry &entry = heap[i];
-        if (entry.when != when)
+        if (entry.when != when || !live(entry))
             continue;
-        const Record &rec = recordAt(entry.slot);
-        if (rec.seq != entry.seq || rec.state != Record::State::pending)
-            continue;
-        if (rec.order == Order::dependent) {
+        if (recordAt(entry.slot).order == Order::dependent) {
             if (entry.seq < depSeq) {
                 depSeq = entry.seq;
                 depIndex = i;
@@ -199,19 +184,46 @@ EventQueue::pendingProfile() const
 {
     std::vector<std::pair<Tick, Order>> profile;
     profile.reserve(_livePending);
-    for (const HeapEntry &entry : heap) {
-        const Record &rec = recordAt(entry.slot);
-        if (rec.seq != entry.seq || rec.state != Record::State::pending)
-            continue;
-        profile.emplace_back(entry.when - _now, rec.order);
-    }
+    for (const HeapEntry &entry : heap)
+        if (live(entry))
+            profile.emplace_back(entry.when - _now,
+                                 recordAt(entry.slot).order);
     std::sort(profile.begin(), profile.end());
     return profile;
+}
+
+/** Sets the in-place limit, and restores it on every exit: a panic
+ *  thrown out of run() must not leave the fast path on for step(). */
+class EventQueue::InPlaceWindow
+{
+  public:
+    InPlaceWindow(EventQueue &q, Tick limit) : q(q), saved(q._inPlaceLimit)
+    {
+        q._inPlaceLimit = limit;
+    }
+    ~InPlaceWindow() { q._inPlaceLimit = saved; }
+
+    InPlaceWindow(const InPlaceWindow &) = delete;
+    InPlaceWindow &operator=(const InPlaceWindow &) = delete;
+
+  private:
+    EventQueue &q;
+    Tick saved;
+};
+
+void
+EventQueue::dropDeadTop()
+{
+    while (!heap.empty() && !live(heap.front())) {
+        popHeap();
+        --_deadInHeap;
+    }
 }
 
 Tick
 EventQueue::run()
 {
+    InPlaceWindow window(*this, maxTick);
     while (step()) {
     }
     return _now;
@@ -220,18 +232,11 @@ EventQueue::run()
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    while (!heap.empty()) {
-        // Purge dead entries without advancing time.
-        const HeapEntry &top = heap.front();
-        const Record &rec = recordAt(top.slot);
-        if (rec.seq != top.seq || rec.state != Record::State::pending) {
-            popHeap();
-            --_deadInHeap;
-            continue;
-        }
-        if (top.when > limit)
-            break;
+    InPlaceWindow window(*this, limit);
+    dropDeadTop();
+    while (!heap.empty() && heap.front().when <= limit) {
         step();
+        dropDeadTop();
     }
     if (_now < limit && heap.empty())
         return _now;

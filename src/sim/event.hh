@@ -242,6 +242,10 @@ class EventQueue
 
     /**
      * Fire the next pending event, advancing the clock to its time.
+     * Single-stepping fires every Process::delay() wake as an event of
+     * its own: a delay called from an event fired here suspends its
+     * fiber even when its wake is the next event (see run()), so a
+     * caller that inspects state after each step sees every one.
      * @return false if the queue was empty.
      */
     bool
@@ -252,9 +256,7 @@ class EventQueue
         while (!heap.empty()) {
             HeapEntry entry = heap.front();
             popHeap();
-            Record &rec = recordAt(entry.slot);
-            if (rec.seq != entry.seq ||
-                rec.state != Record::State::pending) {
+            if (!live(entry)) {
                 --_deadInHeap;
                 continue;
             }
@@ -264,12 +266,22 @@ class EventQueue
         return false;
     }
 
-    /** Run until the queue drains. @return the final simulated time. */
+    /**
+     * Run until the queue drains. @return the final simulated time.
+     *
+     * While it runs, a Process::delay() whose wake would be the next
+     * event to fire advances the clock in place instead of suspending
+     * its fiber; the wake is accounted as fired (inPlaceAdvances()).
+     * The fast path is off while an arbiter or a task observer is
+     * installed.
+     */
     Tick run();
 
     /**
      * Run until the queue drains or the clock would pass @p limit.
-     * Events scheduled at exactly @p limit do fire.
+     * Events scheduled at exactly @p limit do fire. Delays advance in
+     * place as under run(), but never past @p limit: a wake beyond it
+     * is queued, and its fiber resumes in a later run.
      * @return the final simulated time.
      */
     Tick runUntil(Tick limit);
@@ -341,10 +353,20 @@ class EventQueue
     /** Times the heap was rebuilt to purge cancelled entries. */
     std::uint64_t compactions() const { return _compactions; }
 
+    /**
+     * Process::delay() wakes fired in place, without a queued event or
+     * a fiber switch (see run()); each is also counted in firedCount().
+     * Deliberately not a registry metric: every simulated-output digest
+     * mixes the whole registry, and this count differs by design
+     * between the fast path and the slow one.
+     */
+    std::uint64_t inPlaceAdvances() const { return _inPlaceAdvances; }
+
     /** @} */
 
   private:
     friend class EventHandle;
+    friend class Process;
 
     static constexpr std::size_t chunkRecords = 256;
     static constexpr std::uint32_t noSlot = ~std::uint32_t{0};
@@ -411,6 +433,52 @@ class EventQueue
     {
         return chunks[slot / chunkRecords][slot % chunkRecords];
     }
+
+    /** False for an entry whose event was cancelled (lazy deletion). */
+    bool
+    live(const HeapEntry &entry) const
+    {
+        const Record &rec = recordAt(entry.slot);
+        return rec.seq == entry.seq && rec.state == Record::State::pending;
+    }
+
+    /**
+     * The fast path of Process::delay(@p d): if the wake it would
+     * queue at now() + @p d is the next event to fire, account it as
+     * fired (clock, sequence number, fired count) without queueing it.
+     * Exact because the wake would be the unique heap minimum under
+     * FIFO, any salt and any arbiter, so no callback can run before
+     * it; an event already at now() + @p d fires first under FIFO, so
+     * it blocks the fast path. Only inside run()/runUntil(), never past
+     * runUntil()'s limit, and never with an arbiter or observer
+     * installed: both see events one at a time.
+     * @return false, with nothing changed, when the wake must be queued.
+     */
+    bool
+    advanceInPlace(Tick d)
+    {
+        const Tick when = _now + d;
+        if (when > _inPlaceLimit || _arbiter || _taskObserver)
+            return false;
+        // Drop the cancelled entries the wake would have been popped
+        // after, and no others, so heap size and garbage (and with them
+        // the compaction schedule) match the slow path.
+        while (!heap.empty() && heap.front().when < when &&
+               !live(heap.front())) {
+            popHeap();
+            --_deadInHeap;
+        }
+        if (!heap.empty() && heap.front().when <= when)
+            return false;
+        _now = when;
+        ++nextSeq; // the wake's: later salted keys stay where they were
+        ++_firedCount;
+        ++_inPlaceAdvances;
+        return true;
+    }
+
+    /** Opens the in-place window for one run()/runUntil() call. */
+    class InPlaceWindow;
 
     /**
      * Min-heap order on (when, key, seq). Unperturbed, key == seq:
@@ -587,6 +655,9 @@ class EventQueue
     void growPool();
     void compactIfWorthwhile();
 
+    /** Pop cancelled entries until the top (if any) is live. */
+    void dropDeadTop();
+
     /** The arbitrated slow path of step(): collect the eligible set at
      *  the minimum tick and fire the arbiter's choice. */
     bool stepChoice();
@@ -609,6 +680,10 @@ class EventQueue
     std::size_t _deadInHeap = 0;
     std::uint64_t _heapCallableAllocs = 0;
     std::uint64_t _compactions = 0;
+    /** Latest tick a delay may advance to in place; -1 (never) outside
+     *  run()/runUntil(). */
+    Tick _inPlaceLimit = -1;
+    std::uint64_t _inPlaceAdvances = 0;
 };
 
 inline bool

@@ -64,9 +64,7 @@ Process::resume()
 {
     if (fiber->finished())
         UNET_PANIC("resuming finished process '", _name, "'");
-    // Pure-history progress token: (id, nth-resume), mixed so distinct
-    // processes and distinct resume counts land far apart.
-    sim.noteFiberProgress(perturb::mix(_id, ++_resumeCount));
+    noteProgress();
     TaskObserver *observer = sim.events().taskObserver();
     if (observer) [[unlikely]]
         observer->onFiberResume(*this);
@@ -86,6 +84,14 @@ Process::resume()
     currentProcess = prev;
     if (observer) [[unlikely]]
         observer->onFiberSuspend(*this);
+}
+
+void
+Process::noteProgress()
+{
+    // Pure-history progress token: (id, nth-resume), mixed so distinct
+    // processes and distinct resume counts land far apart.
+    sim.noteFiberProgress(perturb::mix(_id, ++_resumeCount));
 }
 
 Process::SuspendToken::SuspendToken(Process &p, SuspendKind kind)
@@ -112,6 +118,12 @@ Process::delay(Tick d)
         UNET_PANIC("delay() called from outside process '", _name, "'");
     if (d < 0)
         UNET_PANIC("negative delay in process '", _name, "'");
+    // The wake would fire next: take its clock, sequence number and
+    // fired count, and the progress its resume() would note, in place.
+    if (sim.events().advanceInPlace(d)) {
+        noteProgress();
+        return;
+    }
     sim.scheduleIn(d, [this] { resume(); });
     SuspendToken tok(*this, suspendDelay);
     suspend();

@@ -113,7 +113,17 @@ class Process
      * @{
      */
 
-    /** Advance simulated time by @p d while "running". */
+    /**
+     * Advance simulated time by @p d while "running".
+     *
+     * Normally this queues a wake at now() + @p d and suspends the
+     * fiber until it fires. Inside EventQueue::run()/runUntil(), when
+     * that wake would be the next event to fire, the clock advances
+     * in place instead: no event is queued and the fiber keeps
+     * running, while the clock, the event sequence number,
+     * firedCount() and fiberProgress() move exactly as if the wake had
+     * fired (EventQueue::inPlaceAdvances() counts these).
+     */
     void delay(Tick d);
 
     /** Block until @p ch is notified. */
@@ -125,7 +135,11 @@ class Process
      */
     bool waitOn(WaitChannel &ch, Tick timeout);
 
-    /** Yield to other same-tick activity and resume immediately. */
+    /**
+     * Yield to other same-tick activity and resume immediately: a
+     * delay(0), so with nothing else pending at this tick it returns
+     * in place, without a fiber switch.
+     */
     void yieldNow();
 
     /** @} */
@@ -138,6 +152,9 @@ class Process
 
     /** Yield out of the fiber back to the event loop. */
     void suspend();
+
+    /** Fold the next (id, resume count) token into fiberProgress(). */
+    void noteProgress();
 
     /**
      * Why the fiber is currently suspended, as a digest token mixed

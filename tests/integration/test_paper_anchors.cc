@@ -3,9 +3,11 @@
  * End-to-end regression locks on the paper's headline numbers.
  *
  * These tests run the same harnesses as the Fig. 5 / Fig. 6 benches
- * and assert the measured values stay within a band of the paper's
- * published results, so calibration drift is caught by CI rather than
- * by eyeballing bench output.
+ * and pin each anchor to the model's own value: the model is
+ * deterministic, so any calibration drift fails here instead of
+ * hiding inside a tolerance band. Each pin keeps the paper's
+ * published value and the model's signed deviation from it beside it
+ * (also tabulated in EXPERIMENTS.md).
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +22,12 @@ TEST(PaperAnchors, Fig5FortyByteRoundTrips)
     // "The round-trip time for a 40-byte message over Fast Ethernet
     // ranges from 57 usec (hub) to 91 usec (FN100), while over ATM it
     // is 89 usec."
-    EXPECT_NEAR(roundTripUs(Fabric::FeHub, 40), 57.0, 12.0);
-    EXPECT_NEAR(roundTripUs(Fabric::FeFn100, 40), 91.0, 10.0);
-    EXPECT_NEAR(roundTripUs(Fabric::AtmOc3, 40), 89.0, 8.0);
+    // Paper 57 us: -7.965581 us (-14.0%).
+    EXPECT_DOUBLE_EQ(roundTripUs(Fabric::FeHub, 40), 49.034419);
+    // Paper 91 us: -3.525581 us (-3.9%).
+    EXPECT_DOUBLE_EQ(roundTripUs(Fabric::FeFn100, 40), 87.474419);
+    // Paper 89 us: -2.243469 us (-2.5%).
+    EXPECT_DOUBLE_EQ(roundTripUs(Fabric::AtmOc3, 40), 86.756531);
 }
 
 TEST(PaperAnchors, Fig5Ordering)
@@ -46,7 +51,10 @@ TEST(PaperAnchors, Fig5AtmMultiCellCliff)
     double single = roundTripUs(Fabric::AtmOc3, 40);
     double multi = roundTripUs(Fabric::AtmOc3, 44);
     EXPECT_GT(multi - single, 20.0) << "cliff too small";
-    EXPECT_NEAR(roundTripUs(Fabric::AtmOc3, 1494), 351.0, 25.0);
+    // Paper 130 us: -11.635679 us (-9.0%).
+    EXPECT_DOUBLE_EQ(multi, 118.364321);
+    // Paper 351 us: -0.000065 us (-0.00002%).
+    EXPECT_DOUBLE_EQ(roundTripUs(Fabric::AtmOc3, 1494), 350.999935);
 }
 
 TEST(PaperAnchors, Fig5Slopes)
@@ -56,16 +64,22 @@ TEST(PaperAnchors, Fig5Slopes)
                  roundTripUs(Fabric::FeHub, 200)) / 8.0;
     double atm = (roundTripUs(Fabric::AtmOc3, 1000) -
                   roundTripUs(Fabric::AtmOc3, 200)) / 8.0;
-    EXPECT_NEAR(fe, 25.0, 4.0);
-    EXPECT_NEAR(atm, 17.0, 4.0);
+    // Paper ~25 us: -0.187143 us (-0.7%).
+    EXPECT_DOUBLE_EQ(fe, 24.812856875);
+    // Paper ~17 us: -2.016104 us (-11.9%).
+    EXPECT_DOUBLE_EQ(atm, 14.983895875000009);
 }
 
 TEST(PaperAnchors, Fig6BandwidthCeilings)
 {
     // "the bandwidth approaches the peak of about 97 Mbps" (FE) and
     // ATM "reaches 118 Mbps" against the 120 Mbps TAXI ceiling.
-    EXPECT_NEAR(bandwidthMbps(Fabric::FeBay, 1494, 200), 97.0, 3.0);
-    EXPECT_NEAR(bandwidthMbps(Fabric::AtmTaxi, 1494, 200), 118.0, 4.0);
+    // Paper ~97 Mb/s: +0.139142 Mb/s (+0.14%).
+    EXPECT_DOUBLE_EQ(bandwidthMbps(Fabric::FeBay, 1494, 200),
+                     97.139141742522767);
+    // Paper 118 Mb/s: -1.28125 Mb/s (-1.1%).
+    EXPECT_DOUBLE_EQ(bandwidthMbps(Fabric::AtmTaxi, 1494, 200),
+                     116.71875);
 }
 
 TEST(PaperAnchors, Fig6SmallMessagesFavorFe)
@@ -93,6 +107,6 @@ TEST(PaperAnchors, Section44Overheads)
     rig.wire(tx, echo);
     tx.start();
     s.run();
-    // "about 1.5 usec" on U-Net/ATM.
-    EXPECT_NEAR(sim::toMicroseconds(busy), 1.5, 0.2);
+    // "about 1.5 usec" on U-Net/ATM: paper 1.5 us, deviation 0.
+    EXPECT_DOUBLE_EQ(sim::toMicroseconds(busy), 1.5);
 }

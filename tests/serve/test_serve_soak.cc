@@ -94,6 +94,32 @@ TEST(ServeSoak, AtmIncastBurstLossRecovers)
 }
 
 /**
+ * A client whose NIC drops every frame it receives loses its AM
+ * channel mid-stream: an issue() fails once the retransmit budget is
+ * spent. The requests still in that channel's window must be retired
+ * as give-ups, not left uncounted, so the accounting identity holds
+ * with a dead channel too.
+ */
+TEST(ServeSoak, DeadChannelRetiresItsWindow)
+{
+    serve::RigSpec spec;
+    spec.nic = serve::NicKind::Fe;
+    spec.clients = 4;
+    spec.seed = 1;
+    spec.faults = "seed=1 nic.fe.rx.c1.drop=1";
+    serve::ServeRig rig(spec);
+    serve::Workload w;
+    w.requestsPerClient = 40;
+    w.meanGap = sim::microseconds(200);
+    serve::RunResult r = rig.run(w);
+    EXPECT_TRUE(r.finished);
+    EXPECT_GT(r.giveUps, 0u);
+    EXPECT_EQ(r.completed + r.giveUps, r.issued)
+        << r.issued << " issued, " << r.completed << " completed, "
+        << r.giveUps << " given up";
+}
+
+/**
  * The acceptance contract behind the published curves: one incast
  * experiment, re-run under perturbation salts 1..5, must reproduce
  * the salt-0 metrics registry bit for bit (digest equality covers
