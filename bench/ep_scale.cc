@@ -18,8 +18,9 @@
  *    the LRU adversary, so every doorbell pages in and the round-trip
  *    carries the page-in/page-out costs.
  *
- * Emits unet-bench-v1 JSON for tools/bench_compare.py: CI fails if
- * the resident-path latency regresses or the fault accounting drifts.
+ * Emits unet-bench-v1 JSON for tools/bench_compare.py; ctest
+ * (cli.ep_scale.baseline) fails if any row moves: a resident-path
+ * latency change or a drift in the fault accounting.
  *
  * Usage: ep_scale [output.json]   (default BENCH_ep_scale.json)
  */

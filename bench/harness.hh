@@ -12,6 +12,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <functional>
@@ -23,6 +24,27 @@
 #include "topo/topo.hh"
 
 namespace unet::bench {
+
+/**
+ * A bad command line exits 2 with a diagnostic and the usage line, so
+ * a mistyped flag cannot run something other than what was asked.
+ */
+[[noreturn]] inline void
+usageError(const char *usage, const char *what, const char *arg)
+{
+    std::fprintf(stderr, "%s '%s'\nusage: %s\n", what, arg, usage);
+    std::exit(2);
+}
+
+/** The value after the flag argv[i], advancing i past it. A missing
+ *  value, or another flag in its place, is a usage error. */
+inline const char *
+flagValue(int argc, char **argv, int &i, const char *usage)
+{
+    if (i + 1 >= argc || !std::strncmp(argv[i + 1], "--", 2))
+        usageError(usage, "missing value for", argv[i]);
+    return argv[++i];
+}
 
 /**
  * Observability outputs shared by the figure benches: `--trace FILE`

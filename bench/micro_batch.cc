@@ -13,8 +13,9 @@
  * and larger batches must amortize the fixed per-trap/per-doorbell
  * cost toward the per-descriptor floor.
  *
- * Emits unet-bench-v1 JSON for tools/bench_compare.py, so CI fails if
- * the batched path loses its amortization.
+ * Emits unet-bench-v1 JSON for tools/bench_compare.py; ctest
+ * (cli.micro_batch.baseline) fails if any row moves, so losing the
+ * batched path's amortization fails every build.
  *
  * Usage: micro_batch [output.json]   (default BENCH_micro_batch.json)
  */

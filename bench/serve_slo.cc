@@ -13,7 +13,9 @@
  * BENCH_JSON (default BENCH_serve_slo.json) gets the unet-bench-v1
  * gate rows; --curves writes the full curve set (every point, plus its
  * metrics digest) for artifact upload and cross-salt byte comparison;
- * --full widens the sweep to paper-size fan-in and load grids.
+ * --full widens the sweep to paper-size fan-in and load grids. An
+ * unknown flag, a second BENCH_JSON or a --curves without its FILE
+ * exits 2.
  *
  * Everything is simulated time: the numbers are deterministic
  * functions of the seed and must be byte-identical across
@@ -157,17 +159,22 @@ printPoint(const Point &p)
 int
 main(int argc, char **argv)
 {
-    const char *out_path = "BENCH_serve_slo.json";
+    const char *usage = "serve_slo [BENCH_JSON] [--full] [--curves FILE]";
+    const char *out_path = nullptr;
     const char *curves_path = nullptr;
     bool full = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--full") == 0)
             full = true;
-        else if (std::strcmp(argv[i], "--curves") == 0 && i + 1 < argc)
-            curves_path = argv[++i];
+        else if (std::strcmp(argv[i], "--curves") == 0)
+            curves_path = bench::flagValue(argc, argv, i, usage);
+        else if (argv[i][0] == '-' || out_path)
+            bench::usageError(usage, "unknown argument", argv[i]);
         else
             out_path = argv[i];
     }
+    if (!out_path)
+        out_path = "BENCH_serve_slo.json";
 
     const int total = full ? 4000 : 1200;
     const std::vector<int> fanins =

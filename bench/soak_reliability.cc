@@ -11,7 +11,7 @@
  *
  * Modes:
  *   (none)              seeded matrix: scenarios x seeds, FE + ATM
- *   --seeds N           widen the seed matrix (CI fault-soak uses 5)
+ *   --seeds N           widen the seed matrix (ctest runs 5)
  *   --fault SCENARIO    one run under a custom fault::Plan scenario
  *                       string (same grammar as the tests; DESIGN.md
  *                       §12)
@@ -19,8 +19,12 @@
  *                       extension)
  *   --metrics FILE      flat JSON metrics snapshot of the last run
  *                       (includes every fault.<site>.* counter)
+ *
+ * An unknown flag, a flag without its value, or a --seeds that is not
+ * a positive integer exits 2.
  */
 
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -380,18 +384,33 @@ printResult(const char *rig, const SoakResult &r)
 int
 main(int argc, char **argv)
 {
+    const char *usage = "soak_reliability [--seeds N | --fault SCENARIO "
+                        "| --sweep] [--metrics FILE] [--trace FILE]";
     const char *fault_arg = nullptr;
     bool sweep = false;
     int seeds = 3;
     for (int i = 1; i < argc; ++i) {
-        if (!std::strncmp(argv[i], "--fault=", 8))
-            fault_arg = argv[i] + 8;
-        else if (!std::strcmp(argv[i], "--fault") && i + 1 < argc)
-            fault_arg = argv[++i];
-        else if (!std::strcmp(argv[i], "--sweep"))
+        const char *arg = argv[i];
+        if (!std::strncmp(arg, "--fault=", 8)) {
+            fault_arg = arg + 8;
+        } else if (!std::strcmp(arg, "--fault")) {
+            fault_arg = flagValue(argc, argv, i, usage);
+        } else if (!std::strcmp(arg, "--sweep")) {
             sweep = true;
-        else if (!std::strcmp(argv[i], "--seeds") && i + 1 < argc)
-            seeds = std::atoi(argv[++i]);
+        } else if (!std::strcmp(arg, "--seeds")) {
+            const char *value = flagValue(argc, argv, i, usage);
+            char *end = nullptr;
+            long n = std::strtol(value, &end, 10);
+            if (end == value || *end || n < 1 || n > INT_MAX)
+                usageError(usage, "--seeds wants a positive integer, got",
+                           value);
+            seeds = static_cast<int>(n);
+        } else if (!std::strcmp(arg, "--metrics") ||
+                   !std::strcmp(arg, "--trace")) {
+            flagValue(argc, argv, i, usage); // ObsOutputs reads it
+        } else {
+            usageError(usage, "unknown argument", arg);
+        }
     }
     ObsOutputs outs(argc, argv);
     const ObsOutputs *outsp = outs.requested() ? &outs : nullptr;

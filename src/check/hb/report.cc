@@ -8,25 +8,14 @@
 
 #include "check/access.hh"
 #include "check/scenario.hh"
+#include "obs/export.hh"
 #include "sim/perturb.hh"
 
 namespace unet::check::hb {
 
 namespace {
 
-/** Minimal JSON string escape (labels and paths are tame). */
-std::string
-jsonEscape(std::string_view s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
+using obs::jsonEscape;
 
 /**
  * Trim an absolute source path to its repo-relative tail so reports

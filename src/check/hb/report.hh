@@ -22,7 +22,8 @@
  * race-free scenarios: objects sort by label, domains and edge names
  * sort lexicographically, and volatile values (access counts, the
  * salt) are excluded — they land in the optional verbose section
- * only. CI diffs the canonical bytes across salts 1..5.
+ * only. HbReport.CanonicalReportStableAcrossSalts diffs the
+ * canonical bytes across salts 1..5.
  */
 
 #ifndef UNET_CHECK_HB_REPORT_HH

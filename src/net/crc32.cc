@@ -79,8 +79,8 @@ resolveBackend()
 {
 #if UNET_HWCRC
     // Reproducibility kill-switch, read once per process like
-    // UNET_PERTURB: forcing the software path lets a CI leg prove the
-    // hardware path changes no observable result.
+    // UNET_PERTURB: forcing the software path shows, on one binary,
+    // that the hardware path changes no observable result.
     // nondet-ok(env-read): one-shot backend pick; backends are
     // bit-identical, so the choice affects speed only.
     const char *env = std::getenv("UNET_CRC32"); // NOLINT(concurrency-mt-unsafe)

@@ -1,5 +1,6 @@
 #include "obs/export.hh"
 
+#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <set>
@@ -7,6 +8,27 @@
 #include "obs/trace.hh"
 
 namespace unet::obs {
+
+std::string
+jsonEscape(std::string_view s)
+{
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        if (c == '"' || c == '\\') {
+            out += '\\';
+            out += c;
+        } else if (static_cast<unsigned char>(c) < 0x20) {
+            char buf[8];
+            std::snprintf(buf, sizeof buf, "\\u%04x",
+                          static_cast<unsigned>(c));
+            out += buf;
+        } else {
+            out += c;
+        }
+    }
+    return out;
+}
 
 void
 writePerfettoJson(std::ostream &os, const TraceSession &tr)
@@ -28,7 +50,7 @@ writePerfettoJson(std::ostream &os, const TraceSession &tr)
         emit([&] {
             os << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,"
                << "\"tid\":" << t << ",\"args\":{\"name\":\""
-               << tr.nameOf(t) << "\"}}";
+               << jsonEscape(tr.nameOf(t)) << "\"}}";
         });
     }
 
@@ -36,10 +58,10 @@ writePerfettoJson(std::ostream &os, const TraceSession &tr)
     os << std::setprecision(15);
     tr.forEach([&](const Span &s) {
         emit([&] {
-            const char *kind = spanKindName(s.kind);
+            std::string_view kind = spanKindName(s.kind);
             const std::string &label = tr.nameOf(s.label);
             os << "{\"ph\":\"X\",\"name\":\""
-               << (label.empty() ? kind : label.c_str())
+               << jsonEscape(label.empty() ? kind : label)
                << "\",\"cat\":\""
                << (isCustody(s.kind) ? "custody" : "detail")
                << "\",\"pid\":0,\"tid\":" << s.track << ",\"ts\":"

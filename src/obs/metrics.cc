@@ -3,6 +3,8 @@
 #include <cassert>
 #include <ostream>
 
+#include "obs/export.hh"
+
 namespace unet::obs {
 
 void
@@ -151,8 +153,7 @@ Registry::writeJson(std::ostream &os) const
         if (!first)
             os << ",";
         first = false;
-        // Paths are dotted identifiers; no JSON escaping needed.
-        os << "\n  \"" << path << "\": " << v;
+        os << "\n  \"" << jsonEscape(path) << "\": " << v;
     }
     os << "\n}\n";
 }

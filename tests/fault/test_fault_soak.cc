@@ -6,8 +6,8 @@
  * delivery, terminated drains, and books that reconcile: wire faults
  * vs. retransmissions, corrupted units vs. FCS/CRC drop counters.
  *
- * These tests carry the `fault-soak` ctest label; the CI fault-soak job
- * runs them across the seed matrix.
+ * These tests carry the `fault-soak` ctest label, which the tsan preset
+ * leaves out.
  */
 
 #include <gtest/gtest.h>

@@ -90,6 +90,14 @@ TEST(Registry, DumpIsSortedAndJsonWellFormed)
     EXPECT_NE(json.find("\"a.first\""), std::string::npos);
     EXPECT_NE(json.find("\"z.last\": 1"), std::string::npos);
     EXPECT_EQ(json.front(), '{');
+
+    // A path built from a host name may hold a quote.
+    sim::Counter q;
+    reg.addCounter(R"(host."B".rx)", &q);
+    std::ostringstream quoted;
+    reg.writeJson(quoted);
+    EXPECT_NE(quoted.str().find(R"("host.\"B\".rx": 0)"),
+              std::string::npos);
 }
 
 TEST(MetricGroup, DeregistersOnDestruction)

@@ -95,6 +95,10 @@ TEST(TraceExport, PerfettoJsonAndCsvContainSpans)
     std::uint64_t id = tr.newMessageId();
     tr.record(id, SpanKind::TxPost, "A.cpu", sim::microseconds(1),
               sim::microseconds(3), "post");
+    // Names are user input (host names): quotes, backslashes and
+    // control characters must come out escaped.
+    tr.record(id, SpanKind::Wire, R"(host "B"\nic)",
+              sim::microseconds(3), sim::microseconds(4), "line\nbreak");
 
     std::ostringstream json;
     writePerfettoJson(json, tr);
@@ -103,6 +107,8 @@ TEST(TraceExport, PerfettoJsonAndCsvContainSpans)
     EXPECT_NE(j.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(j.find("\"cat\":\"custody\""), std::string::npos);
     EXPECT_NE(j.find("\"A.cpu\""), std::string::npos);
+    EXPECT_NE(j.find(R"("name":"host \"B\"\\nic")"), std::string::npos);
+    EXPECT_NE(j.find(R"("name":"line\u000abreak")"), std::string::npos);
 
     std::ostringstream csv;
     writeCsv(csv, tr);

@@ -5,15 +5,16 @@ Understands two input formats:
 
 * google-benchmark JSON (``--benchmark_out``): per-benchmark
   ``real_time`` (lower is better) and optional ``allocs_per_op`` /
-  ``items_per_second`` counters.
+  ``items_per_second`` counters. These are host wall-clock
+  measurements: a metric fails when it regresses by more than the
+  threshold (default 15%). Allocation counts are compared
+  near-exactly: the zero-allocation hot paths must stay zero, and a
+  deliberate heap-fallback bench must not silently grow.
 * unet-bench-v1 JSON (emitted by ``bench/micro_batch``,
   ``bench/ep_scale`` and ``bench/serve_slo``): a flat ``benchmarks``
-  list of ``{name, value, unit, lower_is_better}``.
-
-Exit status is non-zero if any metric regresses by more than the
-threshold (default 15%). Allocation counts are compared near-exactly:
-the zero-allocation hot paths must stay zero, and a deliberate
-heap-fallback bench must not silently grow.
+  list of ``{name, value, unit, lower_is_better}``. These rows are
+  simulated outputs, deterministic functions of the seed, so every
+  value must equal its baseline exactly.
 
 Usage:
     bench_compare.py BASELINE CURRENT [--threshold 0.15]
@@ -75,12 +76,19 @@ def compare(baseline, current, threshold):
     failures = []
     base = metrics_of(baseline)
     cur = metrics_of(current)
+    exact = baseline.get("format") == "unet-bench-v1"
     for name, (base_val, lower) in sorted(base.items()):
         if name not in cur:
             failures.append(f"MISSING  {name}: present in baseline, "
                             "absent in current results")
             continue
         cur_val, _ = cur[name]
+        if exact:
+            if cur_val != base_val:
+                failures.append(
+                    f"CHANGED  {name}: {base_val!r} -> {cur_val!r} "
+                    "(simulated outputs must reproduce exactly)")
+            continue
         if name.endswith("/allocs_per_op"):
             if cur_val > base_val + ALLOC_TOLERANCE:
                 failures.append(
@@ -119,7 +127,8 @@ def main():
     parser.add_argument("baseline", help="committed baseline JSON")
     parser.add_argument("current", help="freshly measured JSON")
     parser.add_argument("--threshold", type=float, default=0.15,
-                        help="allowed fractional regression "
+                        help="allowed fractional regression of a "
+                             "google-benchmark metric "
                              "(default 0.15 = 15%%)")
     parser.add_argument("--update", action="store_true",
                         help="overwrite the baseline with the current "
@@ -143,12 +152,12 @@ def main():
 
     failures = compare(baseline, load(args.current), args.threshold)
     if failures:
-        print(f"\n{len(failures)} regression(s) vs baseline "
-              f"(threshold {args.threshold:.0%}):", file=sys.stderr)
+        print(f"\n{len(failures)} regression(s) vs baseline:",
+              file=sys.stderr)
         for line in failures:
             print("  " + line, file=sys.stderr)
         return 1
-    print("\nall metrics within threshold")
+    print("\nno regression vs baseline")
     return 0
 
 

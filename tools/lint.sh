@@ -1,11 +1,8 @@
 #!/usr/bin/env bash
-# Static-analysis driver: the nondeterminism lint, clang-tidy over all
-# C++ sources (libraries, tests, benches, examples), and a
-# clang-format style check. The clang stages are skipped (with a
-# notice, not a failure) when their tool is not installed, so the
-# script works both in CI images with LLVM and in minimal local
-# containers; the nondeterminism lint needs only python3 and always
-# runs.
+# Static analysis in one command: the source lint (tools/source_lint.py),
+# clang-tidy over all C++ sources (libraries, tests, benches,
+# examples), and a clang-format style check. The source lint's regex
+# stage needs only python3 and always runs.
 #
 # Usage: tools/lint.sh [build-dir]
 #   build-dir must contain compile_commands.json for the tidy stage
@@ -37,26 +34,14 @@ missing_tool() {
 SOURCES=$(find src tests bench examples -name '*.cc' | sort)
 HEADERS=$(find src tests bench examples -name '*.hh' | sort)
 
-# --- nondeterminism lint ---------------------------------------------
-echo "== nondeterminism lint =="
-NONDET_ARGS=(--build-dir "$BUILD_DIR")
+# --- source lint (nondeterminism + happens-before coverage) ---------
+echo "== source lint =="
+LINT_ARGS=(--build-dir "$BUILD_DIR")
 if [ "$ALLOW_MISSING" != "1" ]; then
     # The clang-query AST stage must actually run, not silently skip.
-    NONDET_ARGS+=(--require-ast)
+    LINT_ARGS+=(--require-ast)
 fi
-if ! python3 tools/nondet_lint.py "${NONDET_ARGS[@]}"; then
-    FAILED=1
-fi
-
-# --- happens-before coverage lint ------------------------------------
-echo "== happens-before coverage lint =="
-HB_ARGS=(--build-dir "$BUILD_DIR")
-if [ "$ALLOW_MISSING" != "1" ]; then
-    # The clang-query cross-check bounds what the regex stage can
-    # silently miss, so in CI it must actually run.
-    HB_ARGS+=(--require-ast)
-fi
-if ! python3 tools/hb_lint.py "${HB_ARGS[@]}"; then
+if ! python3 tools/source_lint.py "${LINT_ARGS[@]}"; then
     FAILED=1
 fi
 
