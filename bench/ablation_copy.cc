@@ -63,8 +63,9 @@ rxKernelTimeUs(std::size_t size, bool charge_copy)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    noArguments(argc, argv, "ablation_copy");
     std::printf("Ablation: receive copy vs hypothetical zero-copy "
                 "receive (U-Net/FE)\n\n");
     std::printf("%8s | %12s %12s | %14s %14s\n", "bytes", "RTT copy",

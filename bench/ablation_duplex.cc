@@ -90,8 +90,9 @@ bidirectionalMbps(bool full_duplex)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    noArguments(argc, argv, "ablation_duplex");
     double full = bidirectionalMbps(true);
     double half = bidirectionalMbps(false);
     std::printf("Ablation: switched FE duplex mode "

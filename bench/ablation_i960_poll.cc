@@ -15,8 +15,9 @@ using namespace unet;
 using namespace unet::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    noArguments(argc, argv, "ablation_i960_poll");
     std::printf("Ablation: i960 TX poll latency vs 40-byte ATM round "
                 "trip\n\n");
     std::printf("%14s %14s %12s\n", "active poll", "idle poll",

@@ -16,8 +16,9 @@ using namespace unet;
 using namespace unet::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    noArguments(argc, argv, "ablation_ipv4");
     RigOptions ipv4;
     ipv4.feSpec.ipv4Encapsulation = true;
 

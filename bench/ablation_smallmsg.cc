@@ -15,8 +15,9 @@ using namespace unet;
 using namespace unet::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    noArguments(argc, argv, "ablation_smallmsg");
     std::printf("Ablation: small-message receive optimizations "
                 "(round-trip us)\n\n");
 

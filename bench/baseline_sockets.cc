@@ -114,8 +114,9 @@ udpBandwidthMbps(std::size_t size, int messages = 300)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    noArguments(argc, argv, "baseline_sockets");
     std::printf("Baseline: kernel UDP sockets vs U-Net/FE "
                 "(Pentium-120, Bay 28115 switch)\n\n");
     std::printf("Round-trip latency (us)\n");

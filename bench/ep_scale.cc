@@ -37,7 +37,8 @@ using namespace unet::bench;
 int
 main(int argc, char **argv)
 {
-    const char *out_path = argc > 1 ? argv[1] : "BENCH_ep_scale.json";
+    const char *out_path = outputPath(
+        argc, argv, "ep_scale [output.json]", "BENCH_ep_scale.json");
 
     const std::size_t counts[] = {1,      10,      100,    1000,
                                   10000, 100000, 1000000};

@@ -17,7 +17,8 @@ using namespace unet::bench;
 int
 main(int argc, char **argv)
 {
-    ObsOutputs outs(argc, argv);
+    ObsOutputs outs = ObsOutputs::only(
+        argc, argv, "fig3_tx_timeline [--trace FILE] [--metrics FILE]");
 
     sim::Simulation s;
     s.enableTrace();

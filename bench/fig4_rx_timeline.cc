@@ -88,7 +88,8 @@ total(const Timeline &steps)
 int
 main(int argc, char **argv)
 {
-    ObsOutputs outs(argc, argv);
+    ObsOutputs outs = ObsOutputs::only(
+        argc, argv, "fig4_rx_timeline [--trace FILE] [--metrics FILE]");
 
     std::printf("Figure 4: U-Net/FE reception timelines\n\n");
 #if !UNET_TRACE

@@ -10,6 +10,7 @@
  * optimization: 130 us at 44 bytes rising to ~351 us at 1.5 KB).
  */
 
+#include <cstring>
 #include <vector>
 
 #include "bench/harness.hh"
@@ -20,24 +21,32 @@ using namespace unet::bench;
 int
 main(int argc, char **argv)
 {
-    bool fine = argc > 1 && std::string(argv[1]) == "--fine";
+    const char *usage = "fig5_roundtrip_latency [--fine] "
+                        "[--trace FILE] [--metrics FILE]";
+    bool fine = false;
+    ObsOutputs outs;
+    for (int i = 1; i < argc; ++i) {
+        if (!std::strcmp(argv[i], "--fine"))
+            fine = true;
+        else if (!outs.parse(argc, argv, i, usage))
+            usageError(usage, "unknown argument", argv[i]);
+    }
 
     // `--trace FILE` / `--metrics FILE`: run one traced 40-byte round
     // trip per substrate class instead of the full sweep, exporting the
     // span timeline. Custody spans tile each round, so their durations
     // sum to the reported RTT (validated by tools/trace_report.py).
-    ObsOutputs outs(argc, argv);
     if (outs.requested()) {
 #if UNET_TRACE
-        double rtt = roundTripTracedUs(
-            Fabric::FeBay, 40, 4, {},
+        double rtt = roundTripUs(
+            Fabric::FeBay, 40, 4, {}, true,
             [&](sim::Simulation &s, double mean) {
                 outs.write(s);
                 std::printf("traced 40B FE Bay28115 round trip: "
                             "%.2f us mean\n",
                             mean);
             });
-        double atm = roundTripTracedUs(Fabric::AtmOc3, 40, 4, {});
+        double atm = roundTripUs(Fabric::AtmOc3, 40, 4, {}, true);
         std::printf("traced 40B ATM OC-3c round trip:   %.2f us mean "
                     "(not exported)\n",
                     atm);
@@ -66,18 +75,10 @@ main(int argc, char **argv)
         std::printf(" %14s", fabricName(f));
     std::printf("\n");
 
-    Sweep sweep;
-    sweep.begin(std::size(fabrics), sizes.size());
     for (std::size_t size : sizes) {
-        sweep.addPoint(size);
-        for (std::size_t fi = 0; fi < std::size(fabrics); ++fi)
-            sweep.add(fi, roundTripUs(fabrics[fi], size));
-    }
-
-    for (std::size_t i = 0; i < sweep.points(); ++i) {
-        std::printf("%8zu", sweep.x(i));
-        for (std::size_t fi = 0; fi < std::size(fabrics); ++fi)
-            std::printf(" %14.1f", sweep.value(fi, i));
+        std::printf("%8zu", size);
+        for (Fabric f : fabrics)
+            std::printf(" %14.1f", roundTripUs(f, size));
         std::printf("\n");
     }
 

@@ -17,8 +17,10 @@ using namespace unet;
 using namespace unet::bench;
 
 int
-main()
+main(int argc, char **argv)
 {
+    noArguments(argc, argv, "fig6_bandwidth");
+
     std::vector<std::size_t> sizes = {8,    16,   32,   40,  48,  64,
                                       88,   96,   128,  136, 192, 256,
                                       344,  384,  512,  680, 768, 1024,
@@ -33,18 +35,10 @@ main()
         std::printf(" %14s", fabricName(f));
     std::printf("\n");
 
-    Sweep sweep;
-    sweep.begin(std::size(fabrics), sizes.size());
     for (std::size_t size : sizes) {
-        sweep.addPoint(size);
-        for (std::size_t fi = 0; fi < std::size(fabrics); ++fi)
-            sweep.add(fi, bandwidthMbps(fabrics[fi], size));
-    }
-
-    for (std::size_t i = 0; i < sweep.points(); ++i) {
-        std::printf("%8zu", sweep.x(i));
-        for (std::size_t fi = 0; fi < std::size(fabrics); ++fi)
-            std::printf(" %14.1f", sweep.value(fi, i));
+        std::printf("%8zu", size);
+        for (Fabric f : fabrics)
+            std::printf(" %14.1f", bandwidthMbps(f, size));
         std::printf("\n");
     }
 

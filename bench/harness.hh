@@ -10,6 +10,7 @@
 #ifndef UNET_BENCH_HARNESS_HH
 #define UNET_BENCH_HARNESS_HH
 
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/digest.hh"
 #include "obs/export.hh"
 #include "topo/topo.hh"
 
@@ -46,6 +48,42 @@ flagValue(int argc, char **argv, int &i, const char *usage)
     return argv[++i];
 }
 
+/** @p value as a positive int; anything else is a usage error naming
+ *  @p what. */
+inline int
+positiveArg(const char *value, const char *what, const char *usage)
+{
+    char *end = nullptr;
+    long n = std::strtol(value, &end, 10);
+    if (end == value || *end || n < 1 || n > INT_MAX) {
+        std::string msg = what;
+        msg += " wants a positive integer, got";
+        usageError(usage, msg.c_str(), value);
+    }
+    return static_cast<int>(n);
+}
+
+/** A bench that takes no arguments rejects any. */
+inline void
+noArguments(int argc, char **argv, const char *usage)
+{
+    if (argc > 1)
+        usageError(usage, "unknown argument", argv[1]);
+}
+
+/** The one optional positional output path of a JSON-writing bench,
+ *  else @p fallback. A flag or a second path is a usage error, so
+ *  nothing gets written under a mistyped flag's name. */
+inline const char *
+outputPath(int argc, char **argv, const char *usage, const char *fallback)
+{
+    if (argc > 1 && argv[1][0] == '-')
+        usageError(usage, "unknown argument", argv[1]);
+    if (argc > 2)
+        usageError(usage, "unexpected argument", argv[2]);
+    return argc > 1 ? argv[1] : fallback;
+}
+
 /**
  * Observability outputs shared by the figure benches: `--trace FILE`
  * writes a Perfetto trace_event JSON of the run's TraceSession,
@@ -56,14 +94,28 @@ struct ObsOutputs
     const char *tracePath = nullptr;
     const char *metricsPath = nullptr;
 
-    ObsOutputs(int argc, char **argv)
+    /** Take argv[i] (and its value) if it is one of these flags. */
+    bool
+    parse(int argc, char **argv, int &i, const char *usage)
     {
-        for (int i = 1; i + 1 < argc; ++i) {
-            if (!std::strcmp(argv[i], "--trace"))
-                tracePath = argv[i + 1];
-            else if (!std::strcmp(argv[i], "--metrics"))
-                metricsPath = argv[i + 1];
-        }
+        if (!std::strcmp(argv[i], "--trace"))
+            tracePath = flagValue(argc, argv, i, usage);
+        else if (!std::strcmp(argv[i], "--metrics"))
+            metricsPath = flagValue(argc, argv, i, usage);
+        else
+            return false;
+        return true;
+    }
+
+    /** A bench whose only flags are these. */
+    static ObsOutputs
+    only(int argc, char **argv, const char *usage)
+    {
+        ObsOutputs outs;
+        for (int i = 1; i < argc; ++i)
+            if (!outs.parse(argc, argv, i, usage))
+                usageError(usage, "unknown argument", argv[i]);
+        return outs;
     }
 
     bool requested() const { return tracePath || metricsPath; }
@@ -280,18 +332,52 @@ recycleBuffers(UNet &un, sim::Process &proc, Endpoint &ep,
 
 /**
  * Measure the user-level round-trip time for @p size-byte messages
- * over @p fabric (median-free simple mean over @p rounds after one
- * warmup).
+ * over @p fabric: the mean over @p rounds after one warmup round.
+ *
+ * @p traced enables a TraceSession and stamps custody so that the
+ * spans of every measured round tile the round-trip interval exactly:
+ * each side back-dates the next message's context to the instant the
+ * previous custody ended (the measurement start for the first hop, the
+ * receive-queue pop for the echo), recording the application
+ * turnaround as an App span. The per-round custody durations therefore
+ * sum to the measured RTT (tools/trace_report.py checks this).
+ *
+ * @p after runs before teardown with the live simulation (trace ring
+ * and metrics intact) and the measured mean RTT in microseconds.
  */
 inline double
-roundTripUs(Fabric fabric, std::size_t size, int rounds = 8,
-            RigOptions opts = {})
+roundTripUs(
+    Fabric fabric, std::size_t size, int rounds = 8, RigOptions opts = {},
+    bool traced = false,
+    const std::function<void(sim::Simulation &, double)> &after = {})
 {
     sim::Simulation s;
+    if (traced)
+        s.enableTrace();
     RawPair rig(s, fabric, opts);
 
     double total_us = 0;
     int measured = 0;
+
+    // Compose and post one message from @p side. A traced run first
+    // opens its custody at @p handoff and records the application
+    // turnaround up to the post, so TxPost starts at the post.
+    auto send = [&](sim::Process &self, int side,
+                    [[maybe_unused]] sim::Tick handoff) {
+        auto &un = rig.unetOf(side);
+        auto &ep = rig.ep(side);
+        SendDescriptor sd =
+            rawDescriptor(un, rig.chan(side), size, 16384, !rig.isAtm());
+#if UNET_TRACE
+        if (auto *tr = s.trace()) {
+            tr->begin(sd.trace, handoff);
+            tr->hop(sd.trace, obs::SpanKind::App,
+                    side ? "B.app" : "A.app", s.now());
+        }
+#endif
+        un.send(self, ep, sd);
+        un.flush(self, ep);
+    };
 
     sim::Process echo(s, "echo", [&](sim::Process &self) {
         auto &un = rig.unetOf(1);
@@ -303,14 +389,13 @@ roundTripUs(Fabric fabric, std::size_t size, int rounds = 8,
         for (int r = 0; r < rounds + 1; ++r) {
             if (!ep.wait(self, rd, sim::seconds(1)))
                 return;
+            sim::Tick consumed = s.now();
             // The application examines the message and composes the
             // reply in its buffer area: two real memcpys.
             cpu.busy(self, cpu.spec().memcpyTime(size));
             recycleBuffers(un, self, ep, rd);
             cpu.busy(self, cpu.spec().memcpyTime(size));
-            rawSend(un, self, ep, rig.chan(1), size, 16384,
-                    !rig.isAtm());
-            un.flush(self, ep);
+            send(self, 1, consumed);
         }
     });
 
@@ -324,101 +409,19 @@ roundTripUs(Fabric fabric, std::size_t size, int rounds = 8,
             sim::Tick t0 = s.now();
             // Compose the message in the buffer area.
             cpu.busy(self, cpu.spec().memcpyTime(size));
-            rawSend(un, self, ep, rig.chan(0), size, 16384,
-                    !rig.isAtm());
-            un.flush(self, ep);
+            send(self, 0, t0);
             if (!ep.wait(self, rd, sim::seconds(1)))
                 return;
+            // A traced round ends at the pop, where the reply's
+            // RxQueue span ends; an untraced one after the buffers are
+            // recycled, where the paper anchors are pinned.
+            sim::Tick popped = s.now();
             recycleBuffers(un, self, ep, rd);
             if (r > 0) { // skip warmup
-                total_us += sim::toMicroseconds(s.now() - t0);
+                total_us += sim::toMicroseconds(
+                    (traced ? popped : s.now()) - t0);
                 ++measured;
             }
-        }
-    });
-
-    rig.wire(ping, echo);
-    echo.start();
-    ping.start(sim::microseconds(5));
-    s.run();
-    return measured ? total_us / measured : -1.0;
-}
-
-#if UNET_TRACE
-/**
- * roundTripUs() with a TraceSession enabled and custody stamped so the
- * spans of every measured round tile the round-trip interval exactly:
- * each side back-dates the next message's context to the instant the
- * previous custody ended (the measurement start for the first hop, the
- * receive-queue pop for the echo), recording the application turnaround
- * as an App span. The per-round custody durations therefore sum to the
- * measured RTT (tools/trace_report.py checks this).
- *
- * @p after runs before teardown with the live simulation (trace ring
- * and metrics intact) and the measured mean RTT in microseconds.
- */
-inline double
-roundTripTracedUs(
-    Fabric fabric, std::size_t size, int rounds = 4, RigOptions opts = {},
-    const std::function<void(sim::Simulation &, double)> &after = {})
-{
-    sim::Simulation s;
-    s.enableTrace();
-    RawPair rig(s, fabric, opts);
-
-    double total_us = 0;
-    int measured = 0;
-
-    auto sendTraced = [&](UNet &un, sim::Process &self, Endpoint &ep,
-                          ChannelId chan, sim::Tick handoff,
-                          std::string_view app_track) {
-        SendDescriptor sd =
-            rawDescriptor(un, chan, size, 16384, !rig.isAtm());
-        auto *tr = s.trace();
-        tr->begin(sd.trace, handoff);
-        // Application turnaround, from the previous custody end to this
-        // post; advances the handoff so TxPost starts at the post.
-        tr->hop(sd.trace, obs::SpanKind::App, app_track, s.now());
-        return un.send(self, ep, sd);
-    };
-
-    sim::Process echo(s, "echo", [&](sim::Process &self) {
-        auto &un = rig.unetOf(1);
-        auto &ep = rig.ep(1);
-        postRecvBuffers(un, self, ep, 8);
-        auto &cpu = rig.hostOf(1).cpu();
-        RecvDescriptor rd;
-        for (int r = 0; r < rounds + 1; ++r) {
-            if (!ep.wait(self, rd, sim::seconds(1)))
-                return;
-            sim::Tick consumed = s.now();
-            cpu.busy(self, cpu.spec().memcpyTime(size));
-            recycleBuffers(un, self, ep, rd);
-            cpu.busy(self, cpu.spec().memcpyTime(size));
-            sendTraced(un, self, ep, rig.chan(1), consumed, "B.app");
-            un.flush(self, ep);
-        }
-    });
-
-    sim::Process ping(s, "ping", [&](sim::Process &self) {
-        auto &un = rig.unetOf(0);
-        auto &ep = rig.ep(0);
-        postRecvBuffers(un, self, ep, 8);
-        auto &cpu = rig.hostOf(0).cpu();
-        RecvDescriptor rd;
-        for (int r = 0; r < rounds + 1; ++r) {
-            sim::Tick t0 = s.now();
-            cpu.busy(self, cpu.spec().memcpyTime(size));
-            sendTraced(un, self, ep, rig.chan(0), t0, "A.app");
-            un.flush(self, ep);
-            if (!ep.wait(self, rd, sim::seconds(1)))
-                return;
-            // Measured at the pop, where the reply's RxQueue span ends.
-            if (r > 0) {
-                total_us += sim::toMicroseconds(s.now() - t0);
-                ++measured;
-            }
-            recycleBuffers(un, self, ep, rd);
         }
     });
 
@@ -432,7 +435,85 @@ roundTripTracedUs(
         after(s, mean);
     return mean;
 }
-#endif // UNET_TRACE
+
+/** What replyArrivals() observed. */
+struct ReplyRun
+{
+    /** The tick of every reply's arrival at the ping side. */
+    std::vector<sim::Tick> arrivals;
+    /** The arrivals, the final time, the fired-event count and the
+     *  whole metrics registry, folded into one word. */
+    std::uint64_t digest = 0;
+};
+
+/** Posts one message: the send step of replyArrivals(). */
+using PostStep = std::function<void(UNet &, sim::Process &, Endpoint &,
+                                    const SendDescriptor &)>;
+
+/**
+ * The Fig. 5 ping/echo without the application's copies or a warmup:
+ * @p rounds round trips of @p size bytes on @p rig, each message
+ * composed by rawDescriptor() and posted by @p post (UNet::send() by
+ * default). The tests pin the arrival ticks this yields (golden
+ * trace) and compare its digest across salts and send paths.
+ */
+inline ReplyRun
+replyArrivals(sim::Simulation &s, RawPair &rig, std::size_t size,
+              int rounds, const PostStep &post = {})
+{
+    ReplyRun run;
+    auto send = [&](sim::Process &self, int side) {
+        auto &un = rig.unetOf(side);
+        auto &ep = rig.ep(side);
+        SendDescriptor sd =
+            rawDescriptor(un, rig.chan(side), size, 16384, !rig.isAtm());
+        if (post)
+            post(un, self, ep, sd);
+        else
+            un.send(self, ep, sd);
+        un.flush(self, ep);
+    };
+
+    sim::Process echo(s, "echo", [&](sim::Process &self) {
+        auto &un = rig.unetOf(1);
+        auto &ep = rig.ep(1);
+        postRecvBuffers(un, self, ep, 8);
+        RecvDescriptor rd;
+        for (int r = 0; r < rounds; ++r) {
+            if (!ep.wait(self, rd, sim::seconds(1)))
+                return;
+            recycleBuffers(un, self, ep, rd);
+            send(self, 1);
+        }
+    });
+
+    sim::Process ping(s, "ping", [&](sim::Process &self) {
+        auto &un = rig.unetOf(0);
+        auto &ep = rig.ep(0);
+        postRecvBuffers(un, self, ep, 8);
+        RecvDescriptor rd;
+        for (int r = 0; r < rounds; ++r) {
+            send(self, 0);
+            if (!ep.wait(self, rd, sim::seconds(1)))
+                return;
+            run.arrivals.push_back(s.now());
+            recycleBuffers(un, self, ep, rd);
+        }
+    });
+
+    rig.wire(ping, echo);
+    echo.start();
+    ping.start(sim::microseconds(5));
+    s.run();
+
+    obs::Digest d;
+    d.mixRange(run.arrivals);
+    d.mix(static_cast<std::uint64_t>(s.now()));
+    d.mix(s.events().firedCount());
+    d.mix(obs::digestOf(s.metrics()));
+    run.digest = d.value();
+    return run;
+}
 
 /**
  * Measure one-way streaming bandwidth in Mbit/s of payload for
@@ -507,49 +588,6 @@ bandwidthMbps(Fabric fabric, std::size_t size, int messages = 400,
     double secs = sim::toSeconds(last_arrival - first_arrival);
     return bits / secs / 1e6;
 }
-
-/**
- * Result collector for a figure sweep: one x-axis plus one series per
- * column (fabric). The vectors are reserved up front and reused across
- * collect passes — begin() clears but keeps capacity — so repeated
- * sweeps perform no steady-state allocations, instead of reallocating
- * every row at every message-size step.
- */
-class Sweep
-{
-  public:
-    /** Start a (re)collection of @p series_count series, hinting
-     *  @p points_hint points per series. Keeps prior capacity. */
-    void
-    begin(std::size_t series_count, std::size_t points_hint)
-    {
-        if (_series.size() < series_count)
-            _series.resize(series_count);
-        for (auto &s : _series) {
-            s.clear();
-            s.reserve(points_hint);
-        }
-        _xs.clear();
-        _xs.reserve(points_hint);
-    }
-
-    /** Append the next x-axis point (message size). */
-    void addPoint(std::size_t x) { _xs.push_back(x); }
-
-    /** Append a value to series @p si at the current point. */
-    void add(std::size_t si, double v) { _series[si].push_back(v); }
-
-    std::size_t points() const { return _xs.size(); }
-    std::size_t x(std::size_t i) const { return _xs[i]; }
-    double value(std::size_t si, std::size_t i) const
-    {
-        return _series[si][i];
-    }
-
-  private:
-    std::vector<std::size_t> _xs;
-    std::vector<std::vector<double>> _series;
-};
 
 /** One gate row of a unet-bench-v1 file (tools/bench_compare.py). */
 struct BenchRow

@@ -137,7 +137,8 @@ overheadPerMessageNs(Fabric fabric, std::size_t batch)
 int
 main(int argc, char **argv)
 {
-    const char *out_path = argc > 1 ? argv[1] : "BENCH_micro_batch.json";
+    const char *out_path = outputPath(
+        argc, argv, "micro_batch [output.json]", "BENCH_micro_batch.json");
 
     const std::size_t batches[] = {1, 4, 16, 64};
     std::vector<BenchRow> rows;

@@ -83,8 +83,9 @@ i960OverheadsUs()
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    noArguments(argc, argv, "overheads_table");
     std::printf("Section 4.4 overheads (40-byte message)\n");
     std::printf("%-44s %10s %10s\n", "metric", "paper", "measured");
 

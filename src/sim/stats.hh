@@ -1,22 +1,13 @@
 /**
  * @file
- * Lightweight statistics containers used across the stack.
- *
- * Components expose named Counter and Accumulator members; benches and
- * tests read them directly. A StatGroup gives a component a flat
- * name -> value dump for reporting.
+ * The event count components expose as named Counter members; benches
+ * and tests read them directly.
  */
 
 #ifndef UNET_SIM_STATS_HH
 #define UNET_SIM_STATS_HH
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
-#include <map>
-#include <string>
-#include <vector>
 
 namespace unet::sim {
 
@@ -32,111 +23,6 @@ class Counter
 
   private:
     std::uint64_t count = 0;
-};
-
-/** Running min/max/mean/variance over a stream of samples. */
-class Accumulator
-{
-  public:
-    /** Record one sample. */
-    void
-    sample(double x)
-    {
-        ++n;
-        double delta = x - meanVal;
-        meanVal += delta / static_cast<double>(n);
-        m2 += delta * (x - meanVal);
-        minVal = std::min(minVal, x);
-        maxVal = std::max(maxVal, x);
-        sumVal += x;
-    }
-
-    std::uint64_t count() const { return n; }
-    double sum() const { return sumVal; }
-    double mean() const { return n ? meanVal : 0.0; }
-    double min() const { return n ? minVal : 0.0; }
-    double max() const { return n ? maxVal : 0.0; }
-
-    /** Sample variance (n-1 denominator). */
-    double
-    variance() const
-    {
-        return n > 1 ? m2 / static_cast<double>(n - 1) : 0.0;
-    }
-
-    double stddev() const { return std::sqrt(variance()); }
-
-    void
-    reset()
-    {
-        n = 0;
-        meanVal = m2 = sumVal = 0.0;
-        minVal = std::numeric_limits<double>::infinity();
-        maxVal = -std::numeric_limits<double>::infinity();
-    }
-
-  private:
-    std::uint64_t n = 0;
-    double meanVal = 0.0;
-    double m2 = 0.0;
-    double sumVal = 0.0;
-    double minVal = std::numeric_limits<double>::infinity();
-    double maxVal = -std::numeric_limits<double>::infinity();
-};
-
-/** Fixed-bucket histogram over [lo, hi) with under/overflow buckets. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t buckets)
-        : low(lo), high(hi), counts(buckets + 2, 0)
-    {}
-
-    void
-    sample(double x)
-    {
-        acc.sample(x);
-        std::size_t idx;
-        if (x < low) {
-            idx = 0;
-        } else if (x >= high) {
-            idx = counts.size() - 1;
-        } else {
-            double frac = (x - low) / (high - low);
-            idx = 1 + static_cast<std::size_t>(
-                frac * static_cast<double>(counts.size() - 2));
-        }
-        ++counts[idx];
-    }
-
-    std::uint64_t underflow() const { return counts.front(); }
-    std::uint64_t overflow() const { return counts.back(); }
-    std::uint64_t bucket(std::size_t i) const { return counts.at(i + 1); }
-    std::size_t buckets() const { return counts.size() - 2; }
-    const Accumulator &summary() const { return acc; }
-
-  private:
-    double low;
-    double high;
-    std::vector<std::uint64_t> counts;
-    Accumulator acc;
-};
-
-/** Flat name -> value map a component can publish for reporting. */
-class StatGroup
-{
-  public:
-    void set(const std::string &name, double v) { values[name] = v; }
-    double
-    get(const std::string &name) const
-    {
-        auto it = values.find(name);
-        return it == values.end() ? 0.0 : it->second;
-    }
-    const std::map<std::string, double> &all() const { return values; }
-
-  private:
-    std::map<std::string, double> values;
 };
 
 } // namespace unet::sim

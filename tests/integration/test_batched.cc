@@ -21,7 +21,6 @@
 
 #include "bench/harness.hh"
 #include "check/credits.hh"
-#include "obs/digest.hh"
 #include "sim/perturb.hh"
 #include "tests/unet/fixtures.hh"
 
@@ -39,8 +38,8 @@ constexpr std::uint64_t kSalts[] = {1, 2, 3, 4, 5};
 /**
  * The fig5 golden workload with sends posted either through the
  * scalar send() or through sendv() with n == 1. Returns the
- * reply-arrival tick trace and folds trace + final time + fired-event
- * count + full metrics registry into @p digest.
+ * reply-arrival tick trace and its digest (trace + final time +
+ * fired-event count + full metrics registry) in @p digest.
  */
 std::vector<sim::Tick>
 runFig5(std::uint64_t salt, Fabric fabric, std::size_t size,
@@ -49,69 +48,17 @@ runFig5(std::uint64_t salt, Fabric fabric, std::size_t size,
     sim::perturb::ScopedSalt scoped(salt);
     sim::Simulation s;
     RawPair rig(s, fabric);
-    std::vector<sim::Tick> trace;
-    const int rounds = 4;
-
-    auto post = [&](UNet &un, sim::Process &self, Endpoint &ep,
-                    ChannelId chan) {
-        SendDescriptor sd;
-        sd.channel = chan;
-        if (size <= un.inlineMax() && rig.isAtm()) {
-            sd.isInline = true;
-            sd.inlineLength = static_cast<std::uint32_t>(size);
-        } else {
-            sd.isInline = false;
-            sd.fragmentCount = 1;
-            sd.fragments[0] = {16384,
-                               static_cast<std::uint32_t>(size)};
-        }
-        if (use_sendv)
-            EXPECT_EQ(un.sendv(self, ep, &sd, 1), 1u);
-        else
-            EXPECT_TRUE(un.send(self, ep, sd));
-    };
-
-    sim::Process echo(s, "echo", [&](sim::Process &self) {
-        auto &un = rig.unetOf(1);
-        auto &ep = rig.ep(1);
-        postRecvBuffers(un, self, ep, 8);
-        RecvDescriptor rd;
-        for (int r = 0; r < rounds; ++r) {
-            if (!ep.wait(self, rd, sim::seconds(1)))
-                return;
-            recycleBuffers(un, self, ep, rd);
-            post(un, self, ep, rig.chan(1));
-            un.flush(self, ep);
-        }
-    });
-
-    sim::Process ping(s, "ping", [&](sim::Process &self) {
-        auto &un = rig.unetOf(0);
-        auto &ep = rig.ep(0);
-        postRecvBuffers(un, self, ep, 8);
-        RecvDescriptor rd;
-        for (int r = 0; r < rounds; ++r) {
-            post(un, self, ep, rig.chan(0));
-            un.flush(self, ep);
-            if (!ep.wait(self, rd, sim::seconds(1)))
-                return;
-            trace.push_back(s.now());
-            recycleBuffers(un, self, ep, rd);
-        }
-    });
-
-    rig.wire(ping, echo);
-    echo.start();
-    ping.start(sim::microseconds(5));
-    s.run();
-
-    obs::Digest d;
-    d.mixRange(trace);
-    d.mix(static_cast<std::uint64_t>(s.now()));
-    d.mix(s.events().firedCount());
-    d.mix(obs::digestOf(s.metrics()));
-    digest = d.value();
-    return trace;
+    ReplyRun run = replyArrivals(
+        s, rig, size, 4,
+        [&](UNet &un, sim::Process &self, Endpoint &ep,
+            const SendDescriptor &sd) {
+            if (use_sendv)
+                EXPECT_EQ(un.sendv(self, ep, &sd, 1), 1u);
+            else
+                EXPECT_TRUE(un.send(self, ep, sd));
+        });
+    digest = run.digest;
+    return run.arrivals;
 }
 
 } // namespace

@@ -17,10 +17,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <vector>
 
 #include "bench/harness.hh"
-#include "obs/digest.hh"
 #include "sim/perturb.hh"
 
 using namespace unet;
@@ -48,50 +46,7 @@ runDigest(std::uint64_t salt, Fabric fabric, std::size_t size,
         plan = fault::Plan::parse(fault_scenario);
         rig.attachFaults(plan);
     }
-    std::vector<sim::Tick> trace;
-
-    sim::Process echo(s, "echo", [&](sim::Process &self) {
-        auto &un = rig.unetOf(1);
-        auto &ep = rig.ep(1);
-        postRecvBuffers(un, self, ep, 8);
-        RecvDescriptor rd;
-        for (int r = 0; r < rounds; ++r) {
-            if (!ep.wait(self, rd, sim::seconds(1)))
-                return;
-            recycleBuffers(un, self, ep, rd);
-            rawSend(un, self, ep, rig.chan(1), size, 16384,
-                    !rig.isAtm());
-            un.flush(self, ep);
-        }
-    });
-
-    sim::Process ping(s, "ping", [&](sim::Process &self) {
-        auto &un = rig.unetOf(0);
-        auto &ep = rig.ep(0);
-        postRecvBuffers(un, self, ep, 8);
-        RecvDescriptor rd;
-        for (int r = 0; r < rounds; ++r) {
-            rawSend(un, self, ep, rig.chan(0), size, 16384,
-                    !rig.isAtm());
-            un.flush(self, ep);
-            if (!ep.wait(self, rd, sim::seconds(1)))
-                return;
-            trace.push_back(s.now());
-            recycleBuffers(un, self, ep, rd);
-        }
-    });
-
-    rig.wire(ping, echo);
-    echo.start();
-    ping.start(sim::microseconds(5));
-    s.run();
-
-    obs::Digest d;
-    d.mixRange(trace);
-    d.mix(static_cast<std::uint64_t>(s.now()));
-    d.mix(s.events().firedCount());
-    d.mix(obs::digestOf(s.metrics()));
-    return d.value();
+    return replyArrivals(s, rig, size, rounds).digest;
 }
 
 } // namespace

@@ -23,9 +23,9 @@ using namespace unet::bench;
 namespace {
 
 /**
- * A fig5-style seeded ping/echo run of @p rounds round trips,
- * returning the tick of every reply arrival at the ping side — an
- * event trace of the full stack (NIC service loops, DMA, links).
+ * The tick of every reply arrival of a seeded fig5-style ping/echo run
+ * (bench::replyArrivals) — an event trace of the full stack (NIC
+ * service loops, DMA, links).
  *
  * When @p fault_scenario is non-null, the parsed fault::Plan is armed
  * on every rig component (an empty scenario exercises the plane's
@@ -42,44 +42,7 @@ replyArrivalTrace(Fabric fabric, std::size_t size, int rounds = 4,
         plan = fault::Plan::parse(fault_scenario);
         rig.attachFaults(plan);
     }
-    std::vector<sim::Tick> trace;
-
-    sim::Process echo(s, "echo", [&](sim::Process &self) {
-        auto &un = rig.unetOf(1);
-        auto &ep = rig.ep(1);
-        postRecvBuffers(un, self, ep, 8);
-        RecvDescriptor rd;
-        for (int r = 0; r < rounds; ++r) {
-            if (!ep.wait(self, rd, sim::seconds(1)))
-                return;
-            recycleBuffers(un, self, ep, rd);
-            rawSend(un, self, ep, rig.chan(1), size, 16384,
-                    !rig.isAtm());
-            un.flush(self, ep);
-        }
-    });
-
-    sim::Process ping(s, "ping", [&](sim::Process &self) {
-        auto &un = rig.unetOf(0);
-        auto &ep = rig.ep(0);
-        postRecvBuffers(un, self, ep, 8);
-        RecvDescriptor rd;
-        for (int r = 0; r < rounds; ++r) {
-            rawSend(un, self, ep, rig.chan(0), size, 16384,
-                    !rig.isAtm());
-            un.flush(self, ep);
-            if (!ep.wait(self, rd, sim::seconds(1)))
-                return;
-            trace.push_back(s.now());
-            recycleBuffers(un, self, ep, rd);
-        }
-    });
-
-    rig.wire(ping, echo);
-    echo.start();
-    ping.start(sim::microseconds(5));
-    s.run();
-    return trace;
+    return replyArrivals(s, rig, size, rounds).arrivals;
 }
 
 } // namespace

@@ -14,77 +14,3 @@ TEST(Counter, IncrementAndAdd)
     c.reset();
     EXPECT_EQ(c.value(), 0u);
 }
-
-TEST(Accumulator, EmptyIsZero)
-{
-    Accumulator a;
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(a.min(), 0.0);
-    EXPECT_DOUBLE_EQ(a.max(), 0.0);
-    EXPECT_DOUBLE_EQ(a.variance(), 0.0);
-}
-
-TEST(Accumulator, BasicMoments)
-{
-    Accumulator a;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        a.sample(x);
-    EXPECT_EQ(a.count(), 8u);
-    EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 9.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 40.0);
-    // Population variance is 4; sample variance is 32/7.
-    EXPECT_NEAR(a.variance(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(Accumulator, SingleSample)
-{
-    Accumulator a;
-    a.sample(3.5);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.5);
-    EXPECT_DOUBLE_EQ(a.min(), 3.5);
-    EXPECT_DOUBLE_EQ(a.max(), 3.5);
-    EXPECT_DOUBLE_EQ(a.variance(), 0.0);
-}
-
-TEST(Accumulator, Reset)
-{
-    Accumulator a;
-    a.sample(1.0);
-    a.sample(2.0);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    a.sample(10.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 10.0);
-    EXPECT_DOUBLE_EQ(a.min(), 10.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 100.0, 10);
-    h.sample(-1.0);   // underflow
-    h.sample(0.0);    // bucket 0
-    h.sample(9.99);   // bucket 0
-    h.sample(55.0);   // bucket 5
-    h.sample(99.99);  // bucket 9
-    h.sample(100.0);  // overflow
-    h.sample(1e9);    // overflow
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.bucket(0), 2u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.buckets(), 10u);
-    EXPECT_EQ(h.summary().count(), 7u);
-}
-
-TEST(StatGroup, SetGetMissing)
-{
-    StatGroup g;
-    g.set("tx.frames", 42);
-    EXPECT_DOUBLE_EQ(g.get("tx.frames"), 42.0);
-    EXPECT_DOUBLE_EQ(g.get("missing"), 0.0);
-    EXPECT_EQ(g.all().size(), 1u);
-}

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "bench/soak.hh"
 #include "eth/switch.hh"
 #include "sockets/udp_stack.hh"
 
@@ -29,14 +30,7 @@ struct Rig
     UdpStack stackA, stackB;
 };
 
-std::vector<std::uint8_t>
-pattern(std::size_t n, std::uint8_t seed = 1)
-{
-    std::vector<std::uint8_t> v(n);
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = static_cast<std::uint8_t>(seed + i * 7);
-    return v;
-}
+using bench::pattern;
 
 } // namespace
 

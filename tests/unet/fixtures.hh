@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/soak.hh"
 #include "topo/topo.hh"
 
 namespace unet::test {
@@ -29,15 +30,7 @@ struct AtmStar : topo::Net
     AtmNode &operator[](std::size_t i) { return atm(i); }
 };
 
-/** A recognizable payload. */
-inline std::vector<std::uint8_t>
-pattern(std::size_t n, std::uint8_t seed = 1)
-{
-    std::vector<std::uint8_t> v(n);
-    for (std::size_t i = 0; i < n; ++i)
-        v[i] = static_cast<std::uint8_t>(seed + i * 7);
-    return v;
-}
+using bench::pattern;
 
 } // namespace unet::test
 
