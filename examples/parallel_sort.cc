@@ -6,7 +6,8 @@
  * 4-node Pentium/Fast-Ethernet cluster and the large-message variant
  * on a 4-node SPARC/ATM cluster — the head-to-head the paper's
  * Section 5 is about — and prints execution time, the cpu/net split,
- * and verification results.
+ * and verification results. Exits 1 if any node's sort fails
+ * verification.
  */
 
 #include <cstdio>
@@ -19,7 +20,8 @@ using namespace unet::cluster;
 
 namespace {
 
-void
+/** @return true when every node's sort verified. */
+bool
 runOne(const char *title, Config cfg, bool large)
 {
     sim::Simulation s;
@@ -41,6 +43,7 @@ runOne(const char *title, Config cfg, bool large)
     std::printf("%s (%s messages)\n", title, large ? "large" : "small");
     std::printf("  execution time: %.3f ms (simulated)\n",
                 sim::toMilliseconds(elapsed));
+    bool verified = true;
     for (int i = 0; i < nodes; ++i) {
         auto &p = c.runtime(i).profile();
         auto &st = stats[static_cast<std::size_t>(i)];
@@ -51,8 +54,10 @@ runOne(const char *title, Config cfg, bool large)
                     sim::toMilliseconds(p.compute),
                     sim::toMilliseconds(p.comm),
                     st.verified ? "verified" : "FAILED");
+        verified = verified && st.verified;
     }
     std::printf("\n");
+    return verified;
 }
 
 } // namespace
@@ -61,9 +66,9 @@ int
 main()
 {
     std::printf("Sample sort, 16K keys per node, 4 nodes\n\n");
-    runOne("Pentium cluster / Fast Ethernet (Bay 28115)",
-           Config::feCluster(4), false);
-    runOne("SPARC cluster / ATM (ASX-200, TAXI-140)",
-           Config::atmSplitC(4), true);
-    return 0;
+    bool fe = runOne("Pentium cluster / Fast Ethernet (Bay 28115)",
+                     Config::feCluster(4), false);
+    bool atm = runOne("SPARC cluster / ATM (ASX-200, TAXI-140)",
+                      Config::atmSplitC(4), true);
+    return fe && atm ? 0 : 1;
 }

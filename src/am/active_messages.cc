@@ -91,7 +91,6 @@ ActiveMessages::state(ChannelId chan)
 {
     auto &ch = channels[chan];
     ch.open = true;
-    ch.credits.setLimit(_spec.window);
     return ch;
 }
 
@@ -202,7 +201,6 @@ ActiveMessages::sendReliable(sim::Process &proc, ChannelId chan,
         return false;
     }
     ch.txNext = static_cast<std::uint8_t>(ch.txNext + 1);
-    ch.credits.acquire();
     ch.window.push_back(std::move(pending));
     ch.lastTx = unet.host().simulation().now();
     return true;
@@ -282,7 +280,6 @@ ActiveMessages::processAck(ChannelState &ch, std::uint8_t ack)
             else
                 txPool.release(*front.chunk);
         }
-        ch.credits.release();
         ch.window.pop_front();
     }
     if (covered > 0)

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "am/pool.hh"
-#include "check/credits.hh"
 #include "obs/metrics.hh"
 #include "sim/stats.hh"
 #include "unet/unet.hh"
@@ -234,9 +233,6 @@ class ActiveMessages
         std::uint8_t rxExpected = 0;  ///< next in-order sequence
         std::size_t unackedRx = 0;    ///< receives since last ack out
         sim::Tick oldestUnackedRx = 0;
-
-        /** Credit auditor shadowing `window` (UNET_CHECK builds). */
-        check::CreditWindow credits;
 
         /** In-progress inbound bulk transfers: id -> bytes seen. */
         std::map<Word, std::uint32_t> bulkSeen;

@@ -2,14 +2,16 @@
  * @file
  * Global checker enrollment.
  *
- * The per-object checkers (check::CreditWindow, check::OwnershipTracker)
- * are endpoint- or channel-scoped: each instance audits its own little
- * state machine and knows nothing about the others. The schedule-space
- * explorer (src/check/explore/) needs the *global* view — "every credit
- * window in the simulation is within bounds", "no buffer region
- * anywhere is in an illegal state" — evaluated after every exploration
- * step, without the configs having to hand-register each checker they
- * transitively construct.
+ * The per-object checkers are endpoint- or ring-scoped: each instance
+ * guards its own state and knows nothing about the others. Two
+ * consumers need the *global* view without the rigs having to
+ * hand-register every checker they transitively construct:
+ *
+ *  - the schedule-space explorer (src/check/explore/) folds every live
+ *    check::OwnershipTracker's region table into its state digest
+ *    after each exploration step;
+ *  - the happens-before shardability report (src/check/hb/) lists
+ *    every live check::ContextGuard, touched or not.
  *
  * Enrolled<T> is that lift: a CRTP base that threads every live T onto
  * a thread-local intrusive list. T::forEachEnrolled() then visits all
@@ -18,15 +20,13 @@
  * simulation lives on one thread by construction.
  *
  * Enrollment makes the derived class non-movable and non-copyable —
- * acceptable for the checkers, which live inside node-stable containers
- * (std::map values, members of heap-allocated state blocks). When
- * UNET_CHECK is 0 the base is empty and imposes nothing.
+ * acceptable for the checkers, which live inside endpoints and other
+ * pinned objects. When UNET_CHECK is 0 the base is empty and imposes
+ * nothing.
  */
 
 #ifndef UNET_CHECK_ENROLL_HH
 #define UNET_CHECK_ENROLL_HH
-
-#include <cstddef>
 
 namespace unet::check {
 
@@ -45,16 +45,6 @@ class Enrolled
     {
         for (Enrolled *e = head(); e; e = e->next)
             fn(static_cast<const T &>(*e));
-    }
-
-    /** Number of live instances on this thread. */
-    static std::size_t
-    enrolledCount()
-    {
-        std::size_t n = 0;
-        for (Enrolled *e = head(); e; e = e->next)
-            ++n;
-        return n;
     }
 
   protected:
@@ -101,8 +91,6 @@ class Enrolled
     template <typename F>
     static void forEachEnrolled(F &&)
     {}
-
-    static std::size_t enrolledCount() { return 0; }
 };
 
 #endif // UNET_CHECK

@@ -20,15 +20,14 @@
  * depth >= the forced prefix length); consulting them during the
  * forced prefix would abort the very replay that covers the subtree.
  *
- * Invariant oracles run after every event: the global sweep walks all
- * enrolled CreditWindow and OwnershipTracker instances (check/
- * enroll.hh) — credit conservation and buffer-ownership legality
- * across every endpoint in the simulation, not per-endpoint — and
- * each scenario (check/scenario.hh) adds its own checkStep() and
- * checkEnd() assertions (ring bounds, exactly-once / in-order
- * delivery). Violations arrive as PanicException (sim/logging.hh) and
- * carry the full decision schedule, which serializes to a replay file
- * (replay.hh) that re-executes the exact interleaving.
+ * Invariant oracles: each scenario (check/scenario.hh) runs its
+ * checkStep() after every event (no-drop, hot-set capacity) and its
+ * checkEnd() once the queue drains (exactly-once / in-order
+ * delivery); the per-object checkers (ownership transitions, ring
+ * custody) panic inline at the violating call. Violations arrive as
+ * PanicException (sim/logging.hh) and carry the full decision
+ * schedule, which serializes to a replay file (replay.hh) that
+ * re-executes the exact interleaving.
  */
 
 #ifndef UNET_CHECK_EXPLORE_EXPLORE_HH

@@ -16,7 +16,6 @@
 #include <deque>
 #include <set>
 
-#include "check/credits.hh"
 #include "check/ownership.hh"
 #include "sim/event.hh"
 #include "sim/logging.hh"
@@ -31,21 +30,6 @@ namespace {
  *  any event fires, so the queue is still consistent when caught. */
 struct PruneSignal
 {};
-
-/** The global invariant oracle: every enrolled checker, simulation
- *  wide — not scoped to the endpoint that happens to be active. */
-void
-globalInvariantSweep()
-{
-    CreditWindow::forEachEnrolled([](const CreditWindow &w) {
-        if (w.windowLimit() != 0 && w.held() > w.windowLimit())
-            UNET_PANIC("global credit sweep: ", w.held(),
-                       " messages in flight of a ", w.windowLimit(),
-                       "-message window");
-    });
-    OwnershipTracker::forEachEnrolled(
-        [](const OwnershipTracker &t) { t.audit(); });
-}
 
 /** Digest of everything that distinguishes two exploration states.
  *  Sequence numbers are excluded (schedule history); anything that is
@@ -76,16 +60,11 @@ stateDigest(Scenario &inst)
     }
     d.mix(obs::digestOf(sim.metrics()));
 
-    // Enrolled checker state, combined commutatively: enrollment
+    // Enrolled ownership trackers, combined commutatively: enrollment
     // order reflects construction history, which two equal states may
     // not share.
     std::uint64_t sum = 0;
     std::uint64_t x = 0;
-    CreditWindow::forEachEnrolled([&](const CreditWindow &w) {
-        std::uint64_t h = w.stateHash();
-        sum += h;
-        x ^= h;
-    });
     OwnershipTracker::forEachEnrolled([&](const OwnershipTracker &t) {
         std::uint64_t h = t.stateHash();
         sum += h;
@@ -222,7 +201,6 @@ executeRun(Scenario &inst, sim::ScheduleArbiter *arbiter,
         while (q.step()) {
             ++steps;
             inst.checkStep();
-            globalInvariantSweep();
             if (max_steps && steps >= max_steps && !q.empty())
                 UNET_PANIC("run exceeded the ", max_steps,
                            "-event step bound (livelock?)");

@@ -70,7 +70,8 @@ readReplay(std::istream &is)
     if (!have_count || replay.config.empty())
         return std::nullopt;
 
-    replay.schedule.reserve(count);
+    // The count is untrusted: grow with the lines actually read, so a
+    // huge count fails at end of input instead of sizing an allocation.
     for (std::size_t i = 0; i < count; ++i) {
         Decision d;
         if (!(is >> d.step >> d.when >> d.width >> d.index >> d.seq))

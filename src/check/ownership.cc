@@ -199,23 +199,6 @@ OwnershipTracker::bytesIn(BufState state) const
     return total;
 }
 
-void
-OwnershipTracker::audit() const
-{
-    std::uint64_t prev_end = 0;
-    for (const auto &[offset, region] : regions) {
-        if (offset < prev_end)
-            UNET_PANIC("ownership audit: region [", offset, "+",
-                       region.length, "] overlaps the previous region "
-                       "ending at ", prev_end);
-        if (offset + region.length > areaBytes)
-            UNET_PANIC("ownership audit: region [", offset, "+",
-                       region.length, "] exceeds the ", areaBytes,
-                       "-byte buffer area");
-        prev_end = offset + region.length;
-    }
-}
-
 std::uint64_t
 OwnershipTracker::stateHash() const
 {

@@ -61,10 +61,10 @@ const char *name(BufState state);
 /**
  * Per-buffer-area ownership state machine.
  *
- * Enrolled in the global registry (check/enroll.hh): the explorer's
- * oracle sweeps every live tracker for global buffer-ownership
- * legality after each step. Enrollment makes trackers non-copyable;
- * they live inside Endpoint, which is already pinned.
+ * Enrolled in the global registry (check/enroll.hh): the explorer
+ * folds every live tracker's region table into its state digest.
+ * Enrollment makes trackers non-copyable; they live inside Endpoint,
+ * which is already pinned.
  */
 class OwnershipTracker : public Enrolled<OwnershipTracker>
 {
@@ -119,11 +119,6 @@ class OwnershipTracker : public Enrolled<OwnershipTracker>
     /** Bytes in a given state across all tracked regions. */
     std::size_t bytesIn(BufState state) const;
 
-    /** Global legality sweep: every tracked region in bounds and the
-     *  regions mutually disjoint. Panics on violation (the explorer's
-     *  oracle calls this on every enrolled tracker after each step). */
-    void audit() const;
-
     /** Digest of the full region table for explorer state hashing. */
     std::uint64_t stateHash() const;
 
@@ -177,7 +172,6 @@ class OwnershipTracker : public Enrolled<OwnershipTracker>
     void consume(BufferRef) {}
     std::size_t tracked() const { return 0; }
     std::size_t bytesIn(BufState) const { return 0; }
-    void audit() const {}
     std::uint64_t stateHash() const { return 0; }
 };
 

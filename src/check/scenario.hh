@@ -45,8 +45,7 @@ class Scenario
     virtual void checkStep() {}
 
     /** End-state invariants, evaluated once the queue drains:
-     *  exactly-once / in-order delivery, credits returned, fibers
-     *  finished. */
+     *  exactly-once / in-order delivery, fibers finished. */
     virtual void checkEnd() {}
 
     /** Fold scenario-specific progress state into the explorer's

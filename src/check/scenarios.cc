@@ -16,8 +16,7 @@
  *               the regression that salts miss and exploration finds
  *   sendv-race  three fibers on one ATM host post overlapping sendv
  *               descriptor trains while the i960 firmware's tx polls
- *               race the doorbells; exactly-once, in-order,
- *               credit-conservation oracles
+ *               race the doorbells; exactly-once, in-order oracles
  *   atm-cmdqueue
  *               two fibers on one ATM host post scalar sends, one
  *               doorbell command each, while the i960's per-endpoint
@@ -50,7 +49,6 @@
 
 #include "am/active_messages.hh"
 #include "atm/link.hh"
-#include "check/credits.hh"
 #include "check/scenario.hh"
 #include "eth/hub.hh"
 #include "eth/link.hh"
@@ -127,8 +125,6 @@ class Fig5 : public Scenario
     void
     checkStep() override
     {
-        epA->auditRings();
-        epB->auditRings();
         if (epA->rxQueueDrops() || epB->rxQueueDrops())
             UNET_PANIC("fig5: receive-queue drop in a lossless rig");
     }
@@ -221,7 +217,7 @@ class Fig5 : public Scenario
  *  traffic: both sides fire their requests from the same tick (the
  *  same-tick concurrency the explorer permutes), the fault plane
  *  drops a burst in the A->B direction, and Go-Back-N must recover
- *  to exactly-once, in-order delivery with all credits returned. */
+ *  to exactly-once, in-order delivery with every window drained. */
 class Retransmit : public Scenario
 {
   public:
@@ -269,13 +265,6 @@ class Retransmit : public Scenario
     sim::Simulation &simulation() override { return s; }
 
     void
-    checkStep() override
-    {
-        epA->auditRings();
-        epB->auditRings();
-    }
-
-    void
     checkEnd() override
     {
         if (!procA.finished() || !procB.finished())
@@ -296,11 +285,6 @@ class Retransmit : public Scenario
         if (amA->retransmits() == 0)
             UNET_PANIC("retransmit: the loss burst was never "
                        "exercised (no retransmissions)");
-        CreditWindow::forEachEnrolled([](const CreditWindow &w) {
-            if (w.held() != 0)
-                UNET_PANIC("retransmit: ", w.held(),
-                           " credits still held after drain");
-        });
     }
 
     void
@@ -405,15 +389,6 @@ class Demux : public Scenario
     sim::Simulation &simulation() override { return s; }
 
     void
-    checkStep() override
-    {
-        for (int i = 0; i < lanes; ++i) {
-            epA[static_cast<std::size_t>(i)]->auditRings();
-            epB[static_cast<std::size_t>(i)]->auditRings();
-        }
-    }
-
-    void
     checkEnd() override
     {
         for (auto &proc : senders)
@@ -474,10 +449,10 @@ class Demux : public Scenario
  * The planted order-dependence regression. Six permutable events share
  * one tick; exactly one of the 720 orderings trips a credit
  * double-return (an extra release() beyond the two held credits),
- * which the CreditWindow checker reports as an underflow. The trigger
- * order is chosen so that the salted tie-break misses it for every
- * salt in 0..100 (verified by the test suite) — only enumeration
- * finds it.
+ * which the scenario's own credit count reports as an underflow in
+ * every build. The trigger order is chosen so that the salted
+ * tie-break misses it for every salt in 0..100 (verified by the test
+ * suite) — only enumeration finds it.
  */
 class SeededCreditBug : public Scenario
 {
@@ -494,9 +469,6 @@ class SeededCreditBug : public Scenario
 
     SeededCreditBug()
     {
-        window.setLimit(4);
-        window.acquire();
-        window.acquire();
         for (int i = 0; i < events; ++i)
             s.scheduleIn(sim::microseconds(10),
                          [this, i] { fired(i); });
@@ -518,7 +490,7 @@ class SeededCreditBug : public Scenario
         d.mix(static_cast<std::uint64_t>(order.size()));
         for (int v : order)
             d.mix(static_cast<std::uint64_t>(v));
-        d.mix(window.stateHash());
+        d.mix(static_cast<std::uint64_t>(held));
     }
 
   private:
@@ -528,16 +500,24 @@ class SeededCreditBug : public Scenario
         order.push_back(i);
         if (order.size() == events && order == buggyOrder()) {
             // The planted bug: this interleaving releases one credit
-            // more than it holds. The third release underflows and
-            // the checker panics.
-            window.release();
-            window.release();
-            window.release();
+            // more than it holds. The third release underflows.
+            release();
+            release();
+            release();
         }
     }
 
+    void
+    release()
+    {
+        if (held == 0)
+            UNET_PANIC("credit underflow: release with no message in "
+                       "flight");
+        --held;
+    }
+
     sim::Simulation s;
-    CreditWindow window;
+    std::size_t held = 2; ///< credits in flight
     std::vector<int> order;
 };
 
@@ -549,9 +529,8 @@ class SeededCreditBug : public Scenario
  * sendv descriptor trains from one wakeup tick; the i960's weighted tx
  * polls (one poll event per endpoint, racing each other and the
  * doorbells) drain all trains onto one shared fiber toward host B.
- * Oracles: per-lane exactly-once, in-order delivery; ring audits each
- * step; a per-lane CreditWindow that must drain to zero (checked
- * globally by the explorer's invariant sweep at every choice point).
+ * Oracles: per-lane exactly-once, in-order delivery; no receive-queue
+ * drop at any step.
  */
 class SendvRace : public Scenario
 {
@@ -593,7 +572,6 @@ class SendvRace : public Scenario
                 ua, *epA.back(), ub, *epB.back(),
                 static_cast<atm::Vci>(10 + i), ca, cb);
             chans.push_back(ca);
-            credits[i].setLimit(cfg.sendQueueDepth);
         }
         // Both fibers wake at the same tick — that resume order is the
         // first choice point. Inside the body, lane i then delays
@@ -612,8 +590,6 @@ class SendvRace : public Scenario
     checkStep() override
     {
         for (int i = 0; i < lanes; ++i) {
-            epA[static_cast<std::size_t>(i)]->auditRings();
-            epB[static_cast<std::size_t>(i)]->auditRings();
             if (epB[static_cast<std::size_t>(i)]->rxQueueDrops())
                 UNET_PANIC("sendv-race: receive-queue drop in a "
                            "lossless rig");
@@ -644,11 +620,7 @@ class SendvRace : public Scenario
                     UNET_PANIC("sendv-race: lane ", i, " position ", k,
                                " carries sequence ",
                                unsigned(out[k].inlineData[0]));
-                credits[i].release();
             }
-            if (credits[i].held() != 0)
-                UNET_PANIC("sendv-race: lane ", i, " ends with ",
-                           credits[i].held(), " credits in flight");
         }
     }
 
@@ -658,7 +630,6 @@ class SendvRace : public Scenario
         for (int i = 0; i < lanes; ++i) {
             d.mix(static_cast<std::uint64_t>(
                 senders[static_cast<std::size_t>(i)]->finished()));
-            d.mix(credits[i].stateHash());
             mixEndpoint(d, *epA[static_cast<std::size_t>(i)]);
             mixEndpoint(d, *epB[static_cast<std::size_t>(i)]);
         }
@@ -681,11 +652,6 @@ class SendvRace : public Scenario
                 static_cast<std::uint8_t>(length(i, k));
             descs[k].inlineData[0] = static_cast<std::uint8_t>(k);
         }
-        // Credits cover the posted window; the checkEnd poll returns
-        // them, so a lost or duplicated message leaves a nonzero
-        // balance.
-        for (std::uint32_t k = 0; k < batch; ++k)
-            credits[i].acquire();
         std::size_t accepted =
             ua.sendv(self, *epA[static_cast<std::size_t>(i)], descs,
                      batch);
@@ -702,7 +668,6 @@ class SendvRace : public Scenario
     std::vector<std::unique_ptr<sim::Process>> senders;
     std::vector<Endpoint *> epA, epB;
     std::vector<ChannelId> chans;
-    CreditWindow credits[lanes];
 };
 
 // -------------------------------------------------------- atm-cmdqueue
@@ -715,8 +680,8 @@ class SendvRace : public Scenario
  * the adapter's command queue. The i960 runs one weighted tx-poll
  * event per endpoint; those polls race each other, the doorbells, and
  * the second fiber's posts landing mid-drain. Oracles: per-lane
- * exactly-once, in-order delivery at host B; ring audits and a
- * no-drop invariant each step.
+ * exactly-once, in-order delivery at host B; a no-drop invariant
+ * each step.
  */
 class AtmCmdQueue : public Scenario
 {
@@ -773,8 +738,6 @@ class AtmCmdQueue : public Scenario
     checkStep() override
     {
         for (int i = 0; i < lanes; ++i) {
-            epA[static_cast<std::size_t>(i)]->auditRings();
-            epB[static_cast<std::size_t>(i)]->auditRings();
             if (epB[static_cast<std::size_t>(i)]->rxQueueDrops())
                 UNET_PANIC("atm-cmdqueue: receive-queue drop in a "
                            "lossless rig");
@@ -917,9 +880,6 @@ class Upcall : public Scenario
     void
     checkStep() override
     {
-        epB->auditRings();
-        for (auto *ep : epA)
-            ep->auditRings();
         if (epB->rxQueueDrops())
             UNET_PANIC("upcall: receive-queue drop in a lossless rig");
     }
@@ -1066,13 +1026,10 @@ class EpEvict : public Scenario
     checkStep() override
     {
         for (int i = 0; i < lanes; ++i) {
-            epA[static_cast<std::size_t>(i)]->auditRings();
-            epB[static_cast<std::size_t>(i)]->auditRings();
             if (epB[static_cast<std::size_t>(i)]->rxQueueDrops())
                 UNET_PANIC("ep-evict: receive-queue drop in a "
                            "lossless rig");
         }
-        epC->auditRings();
         const vep::ResidencyCache &cache = b.unet.residency();
         if (cache.residentCount() > hotCapacity)
             UNET_PANIC("ep-evict: ", cache.residentCount(),
@@ -1298,7 +1255,7 @@ const ScenarioEntry table[] = {
      "exactly-once oracles", false, make<Fig5>},
     {"retransmit",
      "burst loss inside an AM window; Go-Back-N recovery to "
-     "exactly-once delivery with credits conserved", false,
+     "exactly-once delivery with every window drained", false,
      make<Retransmit>},
     {"demux",
      "three same-tick senders into three endpoints of one node; the "
@@ -1308,7 +1265,7 @@ const ScenarioEntry table[] = {
      "the regression salts miss", false, make<SeededCreditBug>},
     {"sendv-race",
      "three overlapping sendv descriptor trains on one ATM adapter "
-     "racing the firmware tx polls; exactly-once + credit oracles",
+     "racing the firmware tx polls; exactly-once + in-order oracles",
      false, make<SendvRace>},
     {"atm-cmdqueue",
      "scalar doorbell commands from two fibers on one ATM adapter "

@@ -31,27 +31,6 @@ Endpoint::labelGuards(const std::string &prefix)
     _freeGuard.setLabel(prefix + ".freeq");
 }
 
-void
-Endpoint::auditRings() const
-{
-    _sendQueue.check();
-    _recvQueue.check();
-    _freeQueue.check();
-}
-
-void
-Endpoint::auditTick()
-{
-#if defined(UNET_CHECK) && UNET_CHECK
-    if (_config.checkIntervalOps == 0)
-        return;
-    if (++opsSinceAudit >= _config.checkIntervalOps) {
-        opsSinceAudit = 0;
-        auditRings();
-    }
-#endif
-}
-
 ChannelId
 Endpoint::addChannel(const ChannelInfo &info)
 {
@@ -94,7 +73,6 @@ Endpoint::poll(RecvDescriptor &out)
     if (!out.isSmall)
         for (std::uint8_t i = 0; i < out.bufferCount; ++i)
             _ownership.consume(out.buffers[i]);
-    auditTick();
     return true;
 }
 
@@ -117,7 +95,6 @@ Endpoint::pollv(RecvDescriptor *out, std::size_t max)
         if (!cur.isSmall)
             for (std::uint8_t i = 0; i < cur.bufferCount; ++i)
                 _ownership.consume(cur.buffers[i]);
-        auditTick();
         ++drained;
     }
     return drained;
@@ -165,7 +142,6 @@ Endpoint::deliver(const RecvDescriptor &desc)
     if (!desc.isSmall)
         for (std::uint8_t i = 0; i < desc.bufferCount; ++i)
             _ownership.deliver(desc.buffers[i]);
-    auditTick();
     _rxAvailable.notifyAll();
     if (upcall)
         scheduleUpcall();

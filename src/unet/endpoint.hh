@@ -90,9 +90,6 @@ class Endpoint
      */
     void labelGuards(const std::string &prefix);
 
-    /** Audit send/recv/free ring consistency now; panics on violation. */
-    void auditRings() const;
-
     /** @name Channel table (maintained by the OS service). @{ */
     ChannelId addChannel(const ChannelInfo &info);
     const ChannelInfo &channel(ChannelId id) const;
@@ -107,9 +104,9 @@ class Endpoint
 
     /**
      * Batched poll: pop up to @p max receive descriptors in one call.
-     * Per-descriptor effects (custody hop, ownership consume, audit
-     * cadence) are identical to @p max scalar poll() calls; the saving
-     * is one guard window and one call per batch.
+     * Per-descriptor effects (custody hop, ownership consume) are
+     * identical to @p max scalar poll() calls; the saving is one guard
+     * window and one call per batch.
      * @return the number of descriptors written to @p out.
      */
     std::size_t pollv(RecvDescriptor *out, std::size_t max);
@@ -147,17 +144,12 @@ class Endpoint
   private:
     void scheduleUpcall();
 
-    /** Count one queue operation; audit the rings every
-     *  config.checkIntervalOps operations (UNET_CHECK builds). */
-    void auditTick();
-
     // Layout: the members every poll/deliver touches (the sim handle,
     // the per-op scalars, then the recv ring) sit together at the
     // front; setup-time state (channel table, upcall plumbing) and the
     // guards trail. Rings embed their own hot-cursor-first layout (see
     // queues.hh).
     sim::Simulation &sim;           // hb-exempt(reference, set once)
-    std::size_t opsSinceAudit = 0;  // hb-exempt(audit cadence, any context)
     sim::Tick upcallLatency = 0;    // hb-exempt(setup-time only)
     bool upcallPending = false;     // hb-guarded(_recvGuard)
     std::size_t _id;                // hb-exempt(const after ctor)

@@ -17,7 +17,6 @@
 
 #include "sim/logging.hh"
 #include "sim/perturb.hh"
-#include "sim/stats.hh"
 
 namespace unet {
 
@@ -34,8 +33,8 @@ class Ring
         // Third perturbation axis (ring slot-reuse offsets): under a
         // nonzero salt, start the cursors at a salted slot so each
         // logical push lands in a different physical slot per salt.
-        // FIFO semantics and the check() invariants are unaffected —
-        // only code wrongly keying behaviour off slot indices diverges.
+        // FIFO semantics are unaffected — only code wrongly keying
+        // behaviour off slot indices diverges.
         if (std::uint64_t s = sim::perturb::salt())
             head = tail = static_cast<std::size_t>(
                 sim::perturb::mix(s, sim::perturb::nextRingSequence()) %
@@ -47,18 +46,15 @@ class Ring
     bool empty() const { return count == 0; }
     bool full() const { return count == _capacity; }
 
-    /** Push a descriptor; @return false (and count it) if full. */
+    /** Push a descriptor; @return false if full. */
     bool
     push(const T &item)
     {
-        if (full()) {
-            ++_rejected;
+        if (full())
             return false;
-        }
         slots[tail] = item;
         tail = (tail + 1) % _capacity;
         ++count;
-        ++_pushed;
         return true;
     }
 
@@ -76,7 +72,6 @@ class Ring
         slots[head] = T{};
         head = (head + 1) % _capacity;
         --count;
-        ++_popped;
         return item;
     }
 
@@ -89,50 +84,15 @@ class Ring
         return slots[head];
     }
 
-    /**
-     * Audit the ring's internal consistency; panics on violation.
-     * Shared-ring corruption (a servicer and an application disagreeing
-     * about head/tail) is a protection failure, so the checker calls
-     * this periodically on every endpoint ring.
-     */
-    void
-    check() const
-    {
-        if (head >= _capacity || tail >= _capacity)
-            UNET_PANIC("ring index out of range: head=", head,
-                       " tail=", tail, " capacity=", _capacity);
-        if (count > _capacity)
-            UNET_PANIC("ring count ", count, " exceeds capacity ",
-                       _capacity);
-        if ((head + count) % _capacity != tail)
-            UNET_PANIC("ring head/tail/count inconsistent: head=", head,
-                       " tail=", tail, " count=", count,
-                       " capacity=", _capacity);
-        if (_pushed.value() - _popped.value() != count)
-            UNET_PANIC("ring stats inconsistent: pushed=",
-                       _pushed.value(), " popped=", _popped.value(),
-                       " count=", count);
-    }
-
-    /** @name Statistics. @{ */
-    std::uint64_t pushed() const { return _pushed.value(); }
-    std::uint64_t popped() const { return _popped.value(); }
-    std::uint64_t rejected() const { return _rejected.value(); }
-    /** @} */
-
   private:
     // Layout: every push/pop reads _capacity and writes one cursor, so
     // the cursors and capacity share the leading cache line; the slot
-    // storage pointer follows; the statistics counters (written but
-    // never read on the hot path) trail.
+    // storage pointer follows.
     std::size_t _capacity;
     std::size_t head = 0;
     std::size_t tail = 0;
     std::size_t count = 0;
     std::vector<T> slots;
-    sim::Counter _pushed;
-    sim::Counter _popped;
-    sim::Counter _rejected;
 };
 
 } // namespace unet

@@ -143,10 +143,6 @@ struct EndpointConfig
     std::size_t freeQueueDepth = 64;
     std::size_t bufferAreaBytes = 256 * 1024;
     std::size_t maxChannels = 64;
-
-    /** Audit the endpoint's rings every this many queue operations
-     *  (UNET_CHECK builds only; 0 disables the periodic audit). */
-    std::size_t checkIntervalOps = 64;
 };
 
 } // namespace unet

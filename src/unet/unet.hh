@@ -98,7 +98,7 @@ class UNet
      */
     virtual std::size_t sendv(sim::Process &proc, Endpoint &ep,
                               const SendDescriptor *descs,
-                              std::size_t n);
+                              std::size_t n) = 0;
 
     /**
      * Batched completion: drain up to @p max receive descriptors from
@@ -163,25 +163,6 @@ class UNet
     vep::EndpointTable _table;
     sim::Counter _protFaults;
 };
-
-/**
- * Reference sendv: a scalar-send loop (one doorbell per descriptor).
- * Implementations override it to coalesce the doorbell; they keep
- * these exact accept-in-order / stop-at-first-rejection semantics.
- */
-inline std::size_t
-UNet::sendv(sim::Process &proc, Endpoint &ep, const SendDescriptor *descs,
-            std::size_t n)
-{
-    if (n > ep.sendQueue().capacity())
-        UNET_PANIC("sendv of ", n, " descriptors exceeds the ",
-                   ep.sendQueue().capacity(),
-                   "-entry send queue window");
-    std::size_t accepted = 0;
-    while (accepted < n && send(proc, ep, descs[accepted]))
-        ++accepted;
-    return accepted;
-}
 
 } // namespace unet
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <sstream>
 
@@ -60,17 +61,6 @@ TEST(ScenarioRegistry, EveryEntryHoldsUnderSaltedRuns)
 
 // --- the seeded interleaving bug -------------------------------------
 
-/** Only the credit checker catches the planted bug, and UNET_CHECK=OFF
- *  compiles it out; the tests that expect the violation skip there. */
-#if defined(UNET_CHECK) && UNET_CHECK
-constexpr bool creditChecked = true;
-#else
-constexpr bool creditChecked = false;
-#endif
-constexpr const char *uncheckedReason =
-    "only the credit checker catches the planted bug, and "
-    "UNET_CHECK=OFF compiles it out";
-
 /** Perturbation salts 0..100 — the whole range a CI matrix plausibly
  *  sweeps — all miss the planted credit double-return. */
 TEST(ExploreSeededBug, SaltsMissIt)
@@ -89,8 +79,6 @@ TEST(ExploreSeededBug, SaltsMissIt)
  *  space enumerated when the search is not stopped early. */
 TEST(ExploreSeededBug, ExplorationFindsIt)
 {
-    if (!creditChecked)
-        GTEST_SKIP() << uncheckedReason;
     const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Result res = explore::explore(c);
     ASSERT_EQ(res.violations.size(), 1u);
@@ -106,8 +94,6 @@ TEST(ExploreSeededBug, ExplorationFindsIt)
  *  schedules, of which exactly one is the planted violation. */
 TEST(ExploreSeededBug, FullSpaceIs720Schedules)
 {
-    if (!creditChecked)
-        GTEST_SKIP() << uncheckedReason;
     const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Options opts;
     opts.prune = false; // every permutation is a distinct end state
@@ -124,8 +110,6 @@ TEST(ExploreSeededBug, FullSpaceIs720Schedules)
 /** The recorded counterexample re-executes to the same violation. */
 TEST(ExploreSeededBug, CounterexampleReplays)
 {
-    if (!creditChecked)
-        GTEST_SKIP() << uncheckedReason;
     const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Result res = explore::explore(c);
     ASSERT_EQ(res.violations.size(), 1u);
@@ -152,8 +136,6 @@ TEST(ExploreSeededBug, CounterexampleReplays)
 
 TEST(ExploreReplayFile, RoundTrip)
 {
-    if (!creditChecked)
-        GTEST_SKIP() << uncheckedReason;
     const check::ScenarioEntry &c = scenario("seeded-credit-bug");
     explore::Result res = explore::explore(c);
     ASSERT_EQ(res.violations.size(), 1u);
@@ -200,6 +182,94 @@ TEST(ExploreReplayFile, RejectsMalformedInput)
         "unet-explore-replay v1\nconfig fig5\nbogus 1\n"
         "decisions 0\n");
     EXPECT_FALSE(explore::readReplay(unknown_key).has_value());
+
+    // A decision count far beyond the lines that follow is truncated
+    // input, not a size to allocate.
+    for (const char *count : {"1000000000000", "18446744073709551615"}) {
+        std::istringstream huge_count(
+            std::string("unet-explore-replay v1\nconfig fig5\n"
+                        "decisions ") +
+            count + "\n0 10 2 1 5\n");
+        EXPECT_FALSE(explore::readReplay(huge_count).has_value())
+            << count;
+    }
+}
+
+/** One random edit of a replay file: a byte flip, an inserted or
+ *  deleted byte, a truncation, or a long number in place of a digit. */
+void
+mutate(std::string &text, std::mt19937_64 &rng)
+{
+    auto pick = [&](std::size_t n) {
+        return n ? static_cast<std::size_t>(rng() % n) : 0;
+    };
+    static constexpr const char bytes[] = "0123456789 -\nxz";
+    const std::size_t at = pick(text.size());
+    switch (rng() % 5) {
+    case 0:
+        if (!text.empty())
+            text[at] = static_cast<char>(text[at] ^ (1u << pick(8)));
+        break;
+    case 1:
+        text.insert(at, 1, bytes[pick(sizeof bytes - 1)]);
+        break;
+    case 2:
+        if (!text.empty())
+            text.erase(at, 1);
+        break;
+    case 3:
+        text.resize(at);
+        break;
+    default: {
+        const std::size_t digit = text.find_first_of("0123456789", at);
+        if (digit != std::string::npos)
+            text.insert(digit, std::string(10 + pick(20), '9'));
+        break;
+    }
+    }
+}
+
+/** Seeded mutants of the planted bug's replay file: each one either
+ *  fails to parse or replays to a clean end or a reported violation
+ *  within its step bound; none crashes the parser or the replayer. */
+TEST(ExploreReplayFile, MutantsParseOrReplayWithinBounds)
+{
+    const check::ScenarioEntry &c = scenario("seeded-credit-bug");
+    explore::Result res = explore::explore(c);
+    ASSERT_EQ(res.violations.size(), 1u);
+    std::ostringstream os;
+    explore::writeReplay(os, c.name, 0, res.violations[0].message,
+                         res.violations[0].schedule);
+    const std::string seed = os.str();
+
+    constexpr std::uint64_t maxSteps = 64;
+    std::mt19937_64 rng(20);
+    std::size_t rejected = 0, unknown = 0, violated = 0;
+    for (int n = 0; n < 3000; ++n) {
+        std::string text = seed;
+        for (std::uint64_t edits = 1 + rng() % 3; edits; --edits)
+            mutate(text, rng);
+        std::istringstream is(text);
+        auto replay = explore::readReplay(is);
+        if (!replay) {
+            ++rejected;
+            continue;
+        }
+        const check::ScenarioEntry *entry =
+            check::findScenario(replay->config);
+        if (!entry) {
+            ++unknown;
+            continue;
+        }
+        explore::RunOutcome out = explore::runSchedule(
+            *entry, replay->schedule, replay->configSalt, maxSteps);
+        EXPECT_LE(out.steps, maxSteps) << text;
+        violated += out.violated;
+    }
+    // Each way out is taken, so the loop is not vacuous.
+    EXPECT_GT(rejected, 0u);
+    EXPECT_GT(unknown, 0u);
+    EXPECT_GT(violated, 0u);
 }
 
 // --- exhaustive scenarios --------------------------------------------
@@ -262,8 +332,8 @@ TEST(ExploreConfigs, DemuxExhausts)
 
 /** The batched-submission race — three fibers posting overlapping
  *  sendv trains against the i960's tx polls — exhausts under digest
- *  pruning with no violation: exactly-once, in-order, and credit
- *  conservation hold on every schedule, not just the FIFO one. */
+ *  pruning with no violation: exactly-once and in-order delivery hold
+ *  on every schedule, not just the FIFO one. */
 TEST(ExploreConfigs, SendvRaceExhausts)
 {
     EXPECT_GE(expectPinned("sendv-race").maxEligible, 2u);

@@ -1,13 +1,12 @@
 /**
  * @file
- * Unit and death tests for the buffer-ownership state machine and the
- * credit-window auditor, plus an end-to-end proof that a double-posted
- * send buffer is caught at the U-Net API boundary.
+ * Unit and death tests for the buffer-ownership state machine, plus an
+ * end-to-end proof that a double-posted send buffer is caught at the
+ * U-Net API boundary.
  */
 
 #include <gtest/gtest.h>
 
-#include "check/credits.hh"
 #include "check/ownership.hh"
 #include "tests/unet/fixtures.hh"
 
@@ -176,45 +175,6 @@ TEST(OwnershipDeathTest, ReferenceLargerThanRegionPanics)
     EXPECT_DEATH(t.claimSend({0, 512}), "exceeds the");
 }
 
-TEST(Credits, AcquireReleaseTracksInFlight)
-{
-    CreditWindow w;
-    w.setLimit(4);
-    EXPECT_EQ(w.held(), 0u);
-    w.acquire();
-    w.acquire();
-    EXPECT_EQ(w.held(), 2u);
-    w.release();
-    EXPECT_EQ(w.held(), 1u);
-    // Re-stating the same limit is fine (channels re-open lazily).
-    w.setLimit(4);
-}
-
-TEST(CreditsDeathTest, OverflowAndUnderflowPanic)
-{
-    CreditWindow w;
-    w.setLimit(2);
-    w.acquire();
-    w.acquire();
-    EXPECT_DEATH(w.acquire(), "credit overflow");
-    w.release();
-    w.release();
-    EXPECT_DEATH(w.release(), "credit underflow");
-}
-
-TEST(CreditsDeathTest, UnsizedWindowPanics)
-{
-    CreditWindow w;
-    EXPECT_DEATH(w.acquire(), "before the window was sized");
-}
-
-TEST(CreditsDeathTest, ResizingTheWindowPanics)
-{
-    CreditWindow w;
-    w.setLimit(4);
-    EXPECT_DEATH(w.setLimit(8), "re-limited");
-}
-
 namespace {
 
 /** Drive a U-Net/FE pair where the sender double-posts one buffer. */
@@ -289,9 +249,6 @@ TEST(Ownership, EndpointTracksPostedFreeBuffers)
     // poll()/wait() consumed the receive descriptor: the buffer is
     // back in application hands and untracked.
     EXPECT_EQ(ep_b->ownership().tracked(), 0u);
-    // The ring invariants hold after real traffic.
-    ep_a->auditRings();
-    ep_b->auditRings();
 }
 
 #else // !UNET_CHECK
@@ -303,12 +260,6 @@ TEST(Ownership, NoOpTrackerCompilesAndTracksNothing)
     t.postFree({1024, 512});
     EXPECT_EQ(t.tracked(), 0u);
     EXPECT_EQ(t.bytesIn(BufState::TxPosted), 0u);
-
-    CreditWindow w;
-    w.setLimit(1);
-    w.acquire();
-    w.acquire(); // no-op variant never panics
-    EXPECT_EQ(w.held(), 0u);
 }
 
 #endif // UNET_CHECK

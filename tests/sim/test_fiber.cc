@@ -152,6 +152,33 @@ TEST(FiberDeathTest, YieldOutsideAnyFiberPanics)
     EXPECT_DEATH(Fiber::yield(), "outside any fiber");
 }
 
+#if defined(UNET_CHECK) && UNET_CHECK
+/** A body that overruns its stack tramples the low end first, and
+ *  nothing else notices: there is no guard page. The canary seeded
+ *  there fails the switch back to the caller. The overrun is one
+ *  clobbered byte at the bottom of the stack, found by scanning down
+ *  from this frame for the 64-byte canary run. */
+TEST(FiberDeathTest, StackOverrunTripsTheCanary)
+{
+    Fiber f(
+        [] {
+            auto *p = static_cast<volatile unsigned char *>(
+                __builtin_frame_address(0));
+            auto at_canary = [](volatile unsigned char *q) {
+                for (int i = 0; i < 64; ++i)
+                    if (q[i] != 0xA5)
+                        return false;
+                return true;
+            };
+            while (!at_canary(p))
+                --p;
+            *p = 0;
+        },
+        16 * 1024);
+    EXPECT_DEATH(f.run(), "fiber stack overflow: canary byte 0 of 64");
+}
+#endif
+
 TEST(Fiber, DestroyUnfinishedFiberIsSafe)
 {
     auto *f = new Fiber([] {
