@@ -26,7 +26,8 @@
  * Default problem sizes are scaled down so the grid finishes in
  * seconds of host time; pass --full for the paper's 512 K keys per
  * node and 1024x1024 matrices. `--cell BENCHMARK NODES fe|atm [KEYS]`
- * runs one cell, for bisection.
+ * runs one cell, for bisection; KEYS sets the keys per node, and the
+ * Split-C heap grows with it.
  */
 
 #include <algorithm>
@@ -70,7 +71,15 @@ struct Scale
 {
     std::size_t keysPerNode = 4096;
     std::size_t mm128Block = 16; ///< paper: 128
-    std::size_t heapBytes = 24u * 1024 * 1024;
+
+    /** Split-C heap per node: 24 MiB, or 192 bytes per key when that is
+     *  more (96 MiB at the paper's 512 Ki keys per node). */
+    std::size_t
+    heapBytes() const
+    {
+        return std::max<std::size_t>(24u * 1024 * 1024,
+                                     keysPerNode * 192);
+    }
 
     static Scale
     full()
@@ -78,7 +87,6 @@ struct Scale
         Scale s;
         s.keysPerNode = 512 * 1024;
         s.mm128Block = 128;
-        s.heapBytes = 96u * 1024 * 1024;
         return s;
     }
 };
@@ -90,7 +98,7 @@ runCell(const std::string &name, bool atm, int nodes, const Scale &scale)
     sim::Simulation s;
     cluster::Config cfg = atm ? cluster::Config::atmSplitC(nodes)
                               : cluster::Config::feCluster(nodes);
-    cfg.heapBytes = scale.heapBytes;
+    cfg.heapBytes = scale.heapBytes();
     // Watchdog: no scaled cell should take minutes of simulated time;
     // full-size problems get a generous ceiling.
     cfg.simTimeLimit = scale.keysPerNode > 100000 ? sim::seconds(600)

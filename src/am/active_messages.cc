@@ -9,12 +9,12 @@ namespace unet::am {
 namespace {
 
 void
-putWord(std::vector<std::uint8_t> &out, Word w)
+putWord(std::uint8_t *out, Word w)
 {
-    out.push_back(static_cast<std::uint8_t>(w));
-    out.push_back(static_cast<std::uint8_t>(w >> 8));
-    out.push_back(static_cast<std::uint8_t>(w >> 16));
-    out.push_back(static_cast<std::uint8_t>(w >> 24));
+    out[0] = static_cast<std::uint8_t>(w);
+    out[1] = static_cast<std::uint8_t>(w >> 8);
+    out[2] = static_cast<std::uint8_t>(w >> 16);
+    out[3] = static_cast<std::uint8_t>(w >> 24);
 }
 
 Word
@@ -113,45 +113,47 @@ ActiveMessages::emit(sim::Process &proc, ChannelId chan, Type type,
         // chunk); just refresh the descriptor.
         sd = out->desc;
     } else {
-        std::vector<std::uint8_t> wire;
-        wire.reserve(headerBytes + payload.size());
-        wire.push_back(static_cast<std::uint8_t>(type));
-        wire.push_back(seq);
-        wire.push_back(ch.rxExpected); // cumulative piggybacked ACK
-        wire.push_back(handler);
-        for (Word w : args)
-            putWord(wire, w);
-        wire.insert(wire.end(), payload.begin(), payload.end());
-
-        if (wire.size() <= unet.inlineMax()) {
+        // Compose in place: into the inline descriptor, or into a TX
+        // chunk (charged as the copy it models).
+        std::uint32_t size =
+            static_cast<std::uint32_t>(headerBytes + payload.size());
+        std::span<std::uint8_t> wire;
+        if (size <= unet.inlineMax()) {
             sd.isInline = true;
-            sd.inlineLength = static_cast<std::uint32_t>(wire.size());
-            std::copy(wire.begin(), wire.end(), sd.inlineData.begin());
+            sd.inlineLength = size;
+            wire = std::span(sd.inlineData).first(size);
         } else {
             auto chunk = txPool.acquire();
             if (!chunk)
                 UNET_PANIC("TX pool dry in emit (caller must reserve)");
-            if (wire.size() > chunk->length)
-                UNET_PANIC("AM message of ", wire.size(),
-                           " bytes exceeds the ", chunk->length,
-                           "-byte chunk");
-            cpu.busy(proc, cpu.spec().memcpyTime(wire.size()));
-            ep.buffers().write(*chunk, wire);
+            if (size > chunk->length)
+                UNET_PANIC("AM message of ", size, " bytes exceeds the ",
+                           chunk->length, "-byte chunk");
             sd.isInline = false;
             sd.fragmentCount = 1;
-            sd.fragments[0] = {chunk->offset,
-                               static_cast<std::uint32_t>(wire.size())};
+            sd.fragments[0] = {chunk->offset, size};
+            wire = ep.buffers().span(sd.fragments[0]);
             if (out)
                 out->chunk = chunk;
             else
                 txPool.release(*chunk); // unreliable one-shot (ACK)
         }
+        wire[0] = static_cast<std::uint8_t>(type);
+        wire[1] = seq;
+        wire[2] = ch.rxExpected; // cumulative piggybacked ACK
+        wire[3] = handler;
+        for (std::size_t i = 0; i < args.size(); ++i)
+            putWord(&wire[4 + 4 * i], args[i]);
+        std::copy(payload.begin(), payload.end(),
+                  wire.begin() + headerBytes);
+        if (!sd.isInline)
+            cpu.busy(proc, cpu.spec().memcpyTime(size));
         if (out)
             out->desc = sd;
 
         // Piggybacking counts as acknowledging. (Retransmits carry a
         // stale ACK byte, so they do not.)
-        ch.unackedRx = 0;
+        setUnackedRx(ch, 0);
     }
 
     ++_sent;
@@ -171,11 +173,14 @@ ActiveMessages::sendReliable(sim::Process &proc, ChannelId chan,
     // Window flow control (and TX chunk availability for big sends).
     bool needs_chunk =
         headerBytes + payload.size() > unet.inlineMax();
-    bool ok = pollUntil(proc, [&] {
+    auto window_open = [&] {
         return ch.dead ||
             (ch.window.size() < _spec.window &&
              (!needs_chunk || txPool.available() > 0));
-    });
+    };
+    // By reference: a std::function holds a reference_wrapper without
+    // allocating, but not a lambda with three captures.
+    bool ok = pollUntil(proc, std::ref(window_open));
     if (!ok || ch.dead)
         return false;
 
@@ -203,6 +208,7 @@ ActiveMessages::sendReliable(sim::Process &proc, ChannelId chan,
     ch.txNext = static_cast<std::uint8_t>(ch.txNext + 1);
     ch.window.push_back(std::move(pending));
     ch.lastTx = unet.host().simulation().now();
+    timeoutDue = std::min(timeoutDue, retransmitDue(ch));
     return true;
 }
 
@@ -282,8 +288,12 @@ ActiveMessages::processAck(ChannelState &ch, std::uint8_t ack)
         }
         ch.window.pop_front();
     }
-    if (covered > 0)
+    if (covered > 0) {
         ch.retries = 0; // progress resets the give-up counter
+        // ...and with it the backoff: the timer moves earlier.
+        if (!ch.window.empty())
+            timeoutDue = std::min(timeoutDue, retransmitDue(ch));
+    }
 }
 
 void
@@ -294,20 +304,23 @@ ActiveMessages::processInbound(sim::Process &proc,
     auto &cpu = unet.host().cpu();
     cpu.busy(proc, _spec.handleCost);
 
-    // Gather the wire bytes.
-    std::vector<std::uint8_t> wire;
+    // An inline message is parsed where it lies. A buffered one is
+    // gathered first: its buffers go back to the free queue before any
+    // handler runs.
+    std::span<const std::uint8_t> wire;
+    std::vector<std::uint8_t> gathered;
     if (rd.isSmall) {
-        wire.assign(rd.inlineData.begin(),
-                    rd.inlineData.begin() + rd.length);
+        wire = std::span(rd.inlineData).first(rd.length);
     } else {
         for (std::uint8_t i = 0; i < rd.bufferCount; ++i) {
             auto span = ep.buffers().span(rd.buffers[i]);
-            wire.insert(wire.end(), span.begin(), span.end());
+            gathered.insert(gathered.end(), span.begin(), span.end());
         }
         // Recycle the receive buffers at their full pool size.
         for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
             unet.postFree(proc, ep,
                           {rd.buffers[i].offset, txPool.chunkBytes()});
+        wire = gathered;
     }
 
     if (wire.size() < headerBytes) {
@@ -321,8 +334,7 @@ ActiveMessages::processInbound(sim::Process &proc,
     HandlerId handler = wire[3];
     Args args = {getWord(wire, 4), getWord(wire, 8), getWord(wire, 12),
                  getWord(wire, 16)};
-    std::span<const std::uint8_t> payload(wire.data() + headerBytes,
-                                          wire.size() - headerBytes);
+    std::span<const std::uint8_t> payload = wire.subspan(headerBytes);
 
     ChannelState &ch = state(rd.channel);
     processAck(ch, ack);
@@ -330,17 +342,22 @@ ActiveMessages::processInbound(sim::Process &proc,
     if (type == Type::Ack)
         return;
 
+    sim::Tick now = unet.host().simulation().now();
     if (seq != ch.rxExpected) {
         // Duplicate or out-of-order (Go-Back-N): drop, but force an ACK
         // out so the sender resynchronizes quickly.
         ++_duplicates;
-        ch.unackedRx = std::max(ch.unackedRx, _spec.ackEvery);
+        setUnackedRx(ch, std::max(ch.unackedRx, _spec.ackEvery));
+        ackDue = std::min(ackDue, now);
         return;
     }
     if (ch.unackedRx == 0)
-        ch.oldestUnackedRx = unet.host().simulation().now();
+        ch.oldestUnackedRx = now;
     ch.rxExpected = static_cast<std::uint8_t>(ch.rxExpected + 1);
-    ++ch.unackedRx;
+    setUnackedRx(ch, ch.unackedRx + 1);
+    ackDue = std::min(ackDue, ch.unackedRx >= _spec.ackEvery
+                                  ? now
+                                  : ch.oldestUnackedRx + _spec.ackDelay);
 
     Token token{rd.channel};
     switch (type) {
@@ -389,6 +406,9 @@ void
 ActiveMessages::checkTimeouts(sim::Process &proc)
 {
     sim::Tick now = unet.host().simulation().now();
+    if (now < timeoutDue)
+        return;
+    sim::Tick due = sim::maxTick;
     for (auto &[chan, ch] : channels) {
         if (ch.dead || ch.window.empty())
             continue;
@@ -397,8 +417,10 @@ ActiveMessages::checkTimeouts(sim::Process &proc)
         // budget at the base timeout.
         sim::Tick timeout = _spec.retransmitTimeout
             << std::min(ch.retries, 6);
-        if (now - ch.lastTx < timeout)
+        if (now - ch.lastTx < timeout) {
+            due = std::min(due, ch.lastTx + timeout);
             continue;
+        }
 
         // If the data is still sitting in the device path (send queue
         // or TX ring), it has not been lost — duplicating descriptors
@@ -407,6 +429,7 @@ ActiveMessages::checkTimeouts(sim::Process &proc)
         if (unet.txBacklog(ep) > 0) {
             unet.flush(proc, ep);
             ch.lastTx = now;
+            due = std::min(due, retransmitDue(ch));
             continue;
         }
 
@@ -429,7 +452,9 @@ ActiveMessages::checkTimeouts(sim::Process &proc)
                 break;
         }
         ch.lastTx = now;
+        due = std::min(due, retransmitDue(ch));
     }
+    timeoutDue = due;
 }
 
 void
@@ -452,17 +477,31 @@ ActiveMessages::sendAck(sim::Process &proc, ChannelId chan)
 }
 
 void
-ActiveMessages::flushAcks(sim::Process &proc, bool force)
+ActiveMessages::flushAcks(sim::Process &proc)
 {
     sim::Tick now = unet.host().simulation().now();
+    if (now < ackDue)
+        return;
+    sim::Tick due = sim::maxTick;
     for (auto &[chan, ch] : channels) {
         if (ch.unackedRx == 0 || ch.dead)
             continue;
-        if (force || ch.unackedRx >= _spec.ackEvery ||
+        if (ch.unackedRx >= _spec.ackEvery ||
             now - ch.oldestUnackedRx >= _spec.ackDelay) {
             sendAck(proc, chan);
+        } else {
+            due = std::min(due, ch.oldestUnackedRx + _spec.ackDelay);
         }
     }
+    ackDue = due;
+}
+
+void
+ActiveMessages::setUnackedRx(ChannelState &ch, std::size_t n)
+{
+    if ((ch.unackedRx > 0) != (n > 0))
+        n > 0 ? ++acksOwed : --acksOwed;
+    ch.unackedRx = n;
 }
 
 int
@@ -510,10 +549,8 @@ ActiveMessages::pollUntil(sim::Process &proc,
         // Pick a wake interval: tight when ACKs are pending, the
         // retransmit period when sends are outstanding, lazy otherwise.
         sim::Tick wake = _spec.retransmitTimeout;
-        for (auto &[chan, ch] : channels) {
-            if (ch.unackedRx > 0)
-                wake = std::min(wake, _spec.ackDelay);
-        }
+        if (acksOwed > 0)
+            wake = std::min(wake, _spec.ackDelay);
         wake = std::min(wake, deadline - simulation.now());
         proc.waitOn(ep.rxAvailable(), wake);
     }

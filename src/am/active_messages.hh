@@ -18,12 +18,15 @@
  * Faithful to its 1990s user-level ancestry, the library has no
  * background thread: retransmission timers are checked whenever the
  * application calls in (poll / request / reply), and blocking waits
- * wake periodically to do so.
+ * wake periodically to do so. A check walks the channel table only
+ * once the earliest retransmit or delayed-ACK deadline has passed, so
+ * a call in costs the same with 1 channel as with 256.
  */
 
 #ifndef UNET_AM_ACTIVE_MESSAGES_HH
 #define UNET_AM_ACTIVE_MESSAGES_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -255,8 +258,19 @@ class ActiveMessages
     void processInbound(sim::Process &proc, const RecvDescriptor &rd);
     void processAck(ChannelState &ch, std::uint8_t ack);
     void checkTimeouts(sim::Process &proc);
-    void flushAcks(sim::Process &proc, bool force = false);
+    void flushAcks(sim::Process &proc);
     void sendAck(sim::Process &proc, ChannelId chan);
+
+    /** When @p ch's retransmit timer expires (its window non-empty). */
+    sim::Tick
+    retransmitDue(const ChannelState &ch) const
+    {
+        return ch.lastTx + (_spec.retransmitTimeout
+                            << std::min(ch.retries, 6));
+    }
+
+    /** Set ch.unackedRx, keeping acksOwed in step. */
+    void setUnackedRx(ChannelState &ch, std::size_t n);
 
     UNet &unet;
     Endpoint &ep;
@@ -265,6 +279,23 @@ class ActiveMessages
     std::vector<Handler> handlers;
     BulkSink bulkSink;
     std::map<ChannelId, ChannelState> channels;
+
+    /**
+     * Lower bounds on the earliest retransmit timer and the earliest
+     * delayed ACK over all channels: checkTimeouts() and flushAcks()
+     * walk the channels only once now() reaches theirs, and then reset
+     * it to the exact minimum. Only a queued send, ACK progress and a
+     * receive can move a channel's deadline earlier, and each lowers
+     * the bound; everything else only moves deadlines later, so a stale
+     * bound costs one extra walk, never a missed timer.
+     */
+    sim::Tick timeoutDue = sim::maxTick;
+    sim::Tick ackDue = sim::maxTick;
+
+    /** Channels with unackedRx > 0, dead ones included (pollUntil()
+     *  wakes at the ACK delay while any exist). */
+    std::size_t acksOwed = 0;
+
     BufferPool txPool;
     Word nextBulkId = 1;
 

@@ -35,8 +35,8 @@ Cpu::busy(sim::Process &proc, sim::Tick work)
     computing = nullptr;
 }
 
-void
-Cpu::runKernel(sim::Tick cost, std::function<void()> on_done)
+sim::Tick
+Cpu::chargeKernel(sim::Tick cost)
 {
     if (cost < 0)
         UNET_PANIC("negative kernel work on ", _name);
@@ -49,9 +49,7 @@ Cpu::runKernel(sim::Tick cost, std::function<void()> on_done)
     // Steal cycles from any in-flight user computation.
     if (computing)
         computeEnd += cost;
-
-    if (on_done)
-        sim.schedule(kernelBusyUntil, std::move(on_done));
+    return kernelBusyUntil;
 }
 
 } // namespace unet::host

@@ -18,8 +18,9 @@
 #ifndef UNET_HOST_CPU_HH
 #define UNET_HOST_CPU_HH
 
-#include <functional>
+#include <cstddef>
 #include <string>
+#include <utility>
 
 #include "host/cpu_spec.hh"
 #include "sim/process.hh"
@@ -48,9 +49,19 @@ class Cpu
      * Submit asynchronous kernel work (an interrupt handler body) of the
      * given cost. Kernel work is serialized: a second handler waits for
      * the first. @p on_done fires when the work completes; any effects
-     * of the handler (queue updates, wakeups) belong there.
+     * of the handler (queue updates, wakeups) belong there. It is
+     * forwarded to Simulation::schedule as is, so a callable that fits
+     * an event record's 64 inline bytes costs no allocation.
      */
-    void runKernel(sim::Tick cost, std::function<void()> on_done);
+    template <typename F>
+    void
+    runKernel(sim::Tick cost, F &&on_done)
+    {
+        sim.schedule(chargeKernel(cost), std::forward<F>(on_done));
+    }
+
+    /** Kernel work with no completion action. */
+    void runKernel(sim::Tick cost, std::nullptr_t) { chargeKernel(cost); }
 
     /** True if kernel work is executing or queued right now. */
     bool kernelBusy() const { return sim.now() < kernelBusyUntil; }
@@ -62,6 +73,9 @@ class Cpu
     /** @} */
 
   private:
+    /** Queue @p cost of kernel work. @return when it completes. */
+    sim::Tick chargeKernel(sim::Tick cost);
+
     sim::Simulation &sim;
     CpuSpec _spec;
     std::string _name;

@@ -29,6 +29,10 @@ WaitChannel::notifyAll()
         p->simulation().scheduleIn(0, [p] { p->resume(); },
                                    Order::dependent);
     }
+    // The wakes are scheduled, not run, so nothing blocked here during
+    // the loop: hand the storage back for the next waitOn().
+    woken.clear();
+    woken.swap(waiters);
 }
 
 Process::Process(Simulation &sim, std::string name,

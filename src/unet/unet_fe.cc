@@ -17,6 +17,20 @@ tagKey(const eth::MacAddress &mac, PortId port)
     return (mac.toU64() << 8) | port;
 }
 
+/** Return a claimed receive buffer to @p ep's free queue at its
+ *  original size; a buffer lost to a momentarily full queue leaves the
+ *  protection domain for good. */
+void
+recycleRxBuffer(Endpoint &ep, BufferRef buf)
+{
+    check::ContextGuard::Scope scope(ep.freeGuard(),
+                                     "kernel rx buffer recycle");
+    if (ep.freeQueue().push(buf))
+        ep.ownership().unclaimRecv(buf);
+    else
+        ep.ownership().releaseRecv(buf);
+}
+
 } // namespace
 
 UNetFe::UNetFe(host::Host &host, nic::Dc21140 &nic, UNetFeSpec spec)
@@ -553,7 +567,7 @@ UNetFe::rxInterrupt()
 
     const sim::Tick base = _host.simulation().now();
     sim::Tick cost = 0;
-    std::vector<std::function<void()>> effects;
+    std::vector<RxDelivery> deliveries;
     step({}, base, "interrupt handler entry", _spec.rxHandlerEntry,
          cost);
 
@@ -565,8 +579,8 @@ UNetFe::rxInterrupt()
         obs::TraceContext ctx = ring_desc.trace;
         step(ctx, base, "poll device recv ring", _spec.rxPollRing, cost);
 
-        auto raw = mem.read(ring_desc.bufOffset, ring_desc.frameLength);
-        auto frame = eth::Frame::parse(raw);
+        auto frame = eth::Frame::parse(
+            mem.region(ring_desc.bufOffset, ring_desc.frameLength));
 
         // Re-arm the ring slot right away (FIFO reuse).
         ring_desc.complete = false;
@@ -618,15 +632,15 @@ UNetFe::rxInterrupt()
             ++_noChannel;
             continue;
         }
-        ChannelId chan = cit->second;
         Endpoint *ep = state.ep;
 
-        std::vector<std::uint8_t> payload(
-            frame->payload.begin() +
-                static_cast<std::ptrdiff_t>(unetHeaderBytes + skip),
-            frame->payload.begin() +
-                static_cast<std::ptrdiff_t>(unetHeaderBytes + skip +
-                                            msg_len));
+        RxDelivery d;
+        d.ep = ep;
+        RecvDescriptor &rd = d.rd;
+        rd.channel = cit->second;
+        rd.length = msg_len;
+        rd.trace = ctx;
+        const std::size_t msg_off = unetHeaderBytes + skip;
 
         if (msg_len <= smallMessageMax &&
             _spec.smallMessageOptimization) {
@@ -637,45 +651,18 @@ UNetFe::rxInterrupt()
             if (_spec.chargeRxCopy)
                 step(ctx, base, "copy message",
                      cpu.spec().memcpyTime(msg_len), cost);
-            RecvDescriptor rd;
-            rd.channel = chan;
-            rd.length = msg_len;
             rd.isSmall = true;
-            std::copy(payload.begin(), payload.end(),
-                      rd.inlineData.begin());
-            effects.push_back([this, ep, rd, ctx]() mutable {
-#if UNET_TRACE
-                if (auto *tr = _host.simulation().trace())
-                    tr->hop(ctx, obs::SpanKind::RxKernel, _trackCpu,
-                            _host.simulation().now());
-#endif
-                rd.trace = ctx;
-                if (ep->deliver(rd))
-                    ++_delivered;
-            });
+            std::copy_n(frame->payload.begin() +
+                            static_cast<std::ptrdiff_t>(msg_off),
+                        msg_len, rd.inlineData.begin());
         } else {
             step(ctx, base, "allocate U-Net recv buffer",
                  _spec.rxAllocBuffer, cost);
-            // Return a claimed buffer to the free queue at its original
-            // size; a buffer lost to a momentarily full queue leaves
-            // the protection domain for good.
-            auto recycle = [ep](BufferRef buf) {
-                check::ContextGuard::Scope scope(
-                    ep->freeGuard(), "kernel rx buffer recycle");
-                if (ep->freeQueue().push(buf))
-                    ep->ownership().unclaimRecv(buf);
-                else
-                    ep->ownership().releaseRecv(buf);
-            };
             // Fill one or more free buffers. Keep the original
             // free-queue entries: the descriptor references may be
             // truncated to the message length, but drop paths must
             // recycle whole buffers.
-            RecvDescriptor rd;
-            rd.channel = chan;
-            rd.length = msg_len;
             rd.isSmall = false;
-            std::array<BufferRef, maxFragments> claimed{};
             std::uint32_t copied = 0;
             bool ok = true;
             while (copied < msg_len) {
@@ -694,7 +681,7 @@ UNetFe::rxInterrupt()
                     break;
                 }
                 ep->ownership().claimRecv(*buf);
-                claimed[rd.bufferCount] = *buf;
+                d.claimed[rd.bufferCount] = *buf;
                 std::uint32_t chunk =
                     std::min(buf->length, msg_len - copied);
                 rd.buffers[rd.bufferCount++] = {buf->offset, chunk};
@@ -704,7 +691,7 @@ UNetFe::rxInterrupt()
                 ++_noFreeBuf;
                 // Return claimed buffers and drop the message.
                 for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                    recycle(claimed[i]);
+                    recycleRxBuffer(*ep, d.claimed[i]);
                 continue;
             }
             step(ctx, base, "init descriptor buffer pointers",
@@ -712,41 +699,47 @@ UNetFe::rxInterrupt()
             if (_spec.chargeRxCopy)
                 step(ctx, base, "copy message",
                      cpu.spec().memcpyTime(msg_len), cost);
-            effects.push_back([this, ep, rd, payload, claimed, recycle,
-                               ctx]() mutable {
-                std::uint32_t off = 0;
-                for (std::uint8_t i = 0; i < rd.bufferCount; ++i) {
-                    ep->ownership().rxWrite(rd.buffers[i]);
-                    ep->buffers().write(
-                        rd.buffers[i],
-                        std::span(payload.data() + off,
-                                  rd.buffers[i].length));
-                    off += rd.buffers[i].length;
-                }
-#if UNET_TRACE
-                if (auto *tr = _host.simulation().trace())
-                    tr->hop(ctx, obs::SpanKind::RxKernel, _trackCpu,
-                            _host.simulation().now());
-#endif
-                rd.trace = ctx;
-                if (ep->deliver(rd)) {
-                    ++_delivered;
-                } else {
-                    // Receive queue full: the message is lost, but the
-                    // buffers must not leak with it.
-                    for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
-                        recycle(claimed[i]);
-                }
-            });
+            d.framePayload = std::move(frame->payload);
+            d.messageOffset = msg_off;
         }
+        deliveries.push_back(std::move(d));
         step(ctx, base, "bump device recv ring", _spec.rxBumpRing, cost);
     }
     step({}, base, "return from interrupt", _spec.rxReturn, cost);
 
-    cpu.runKernel(cost, [effects = std::move(effects)] {
-        for (const auto &effect : effects)
-            effect();
-    });
+    cpu.runKernel(cost,
+                  [this, deliveries = std::move(deliveries)]() mutable {
+                      for (auto &d : deliveries)
+                          deliver(d);
+                  });
+}
+
+void
+UNetFe::deliver(RxDelivery &d)
+{
+    Endpoint *ep = d.ep;
+    RecvDescriptor &rd = d.rd;
+    std::size_t off = d.messageOffset;
+    for (std::uint8_t i = 0; i < rd.bufferCount; ++i) {
+        ep->ownership().rxWrite(rd.buffers[i]);
+        ep->buffers().write(rd.buffers[i],
+                            std::span(d.framePayload)
+                                .subspan(off, rd.buffers[i].length));
+        off += rd.buffers[i].length;
+    }
+#if UNET_TRACE
+    if (auto *tr = _host.simulation().trace())
+        tr->hop(rd.trace, obs::SpanKind::RxKernel, _trackCpu,
+                _host.simulation().now());
+#endif
+    if (ep->deliver(rd)) {
+        ++_delivered;
+    } else {
+        // Receive queue full: the message is lost, but the buffers must
+        // not leak with it.
+        for (std::uint8_t i = 0; i < rd.bufferCount; ++i)
+            recycleRxBuffer(*ep, d.claimed[i]);
+    }
 }
 
 } // namespace unet

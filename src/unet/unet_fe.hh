@@ -214,6 +214,23 @@ class UNetFe : public UNet
     /** DC21140 receive interrupt handler. */
     void rxInterrupt();
 
+    /** One message the receive interrupt hands to its endpoint once the
+     *  handler's CPU time has run. A buffered message keeps the parsed
+     *  frame's payload, written to its buffers on delivery. */
+    struct RxDelivery
+    {
+        Endpoint *ep = nullptr;
+        RecvDescriptor rd;
+        /** Whole free-queue entries behind rd.buffers (drop paths
+         *  recycle whole buffers). */
+        std::array<BufferRef, maxFragments> claimed{};
+        std::vector<std::uint8_t> framePayload;
+        std::size_t messageOffset = 0; ///< into framePayload
+    };
+
+    /** Complete @p d: write buffered bytes, then deliver. */
+    void deliver(RxDelivery &d);
+
     /** Release ownership of a user fragment whose TX ring slot the
      *  device has completed (own bit cleared). */
     void reapTxSlot(std::size_t slot);

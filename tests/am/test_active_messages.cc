@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "am/active_messages.hh"
+#include "eth/switch.hh"
 #include "fault/fault.hh"
 #include "tests/unet/fixtures.hh"
 
@@ -275,6 +276,88 @@ TEST(ActiveMessages, ChannelDiesAfterMaxRetries)
     };
     p.run();
     EXPECT_EQ(p.amA->deadChannels(), 1u);
+}
+
+TEST(ActiveMessages, AckProgressReArmsTheBaseTimeout)
+{
+    // Node 0's AM holds channels to nodes 1 and 2 on a switch. Its
+    // window to node 1 backs off twice; then a partial cumulative ACK
+    // arrives. Progress resets the backoff, so the next go-back-N
+    // resend leaves one base timeout after the previous one, not the
+    // four that retries = 2 would wait.
+    sim::Simulation s;
+    eth::Switch sw(s);
+    FeNode a(s, sw, 0), b(s, sw, 1), c(s, sw, 2);
+    ChannelId ab = invalidChannel, ba = invalidChannel;
+    ChannelId ac = invalidChannel, ca = invalidChannel;
+    std::unique_ptr<ActiveMessages> amA, amB, amC;
+    const sim::Tick rto = AmSpec{}.retransmitTimeout;
+
+    // Units are A's data frames as node 1 receives them. Seq 0 gets
+    // through; every transmission of seqs 1-3 is lost until the second
+    // go-back-N burst, whose first frame (seq 1) arrives alone.
+    fault::ModelSpec loss;
+    loss.dropUnits = {1, 2, 3, 4, 5, 6, 8, 9};
+    fault::Injector inj(s, "node1.nic", loss, 1);
+    b.nic.setRxFaultInjector(&inj);
+
+    std::vector<std::pair<Word, sim::Tick>> arrivals;
+    sim::Process procB(s, "B", [&](sim::Process &proc) {
+        amB->setHandler(1, [&](sim::Process &, Token, const Args &args,
+                               std::span<const std::uint8_t>) {
+            arrivals.emplace_back(args[0], s.now());
+        });
+        amB->pollUntil(proc, [&] { return arrivals.size() >= 4; },
+                       100_ms);
+        amB->pollUntil(proc, [] { return false; }, 2_ms);
+    });
+    sim::Process procC(s, "C", [&](sim::Process &proc) {
+        amC->setHandler(1, [](sim::Process &, Token, const Args &,
+                              std::span<const std::uint8_t>) {});
+        amC->pollUntil(proc, [&] { return amC->received() >= 1; },
+                       10_ms);
+        amC->pollUntil(proc, [] { return false; }, 2_ms);
+    });
+    sim::Process procA(s, "A", [&](sim::Process &proc) {
+        // Channel 2's window is empty before channel 1's losses begin.
+        ASSERT_TRUE(amA->request(proc, ac, 1, {}));
+        ASSERT_TRUE(amA->drain(proc, 10_ms));
+        for (Word i = 0; i < 4; ++i)
+            ASSERT_TRUE(amA->request(proc, ab, 1, {i, 0, 0, 0}));
+        EXPECT_TRUE(amA->drain(proc, 100_ms));
+    });
+
+    Endpoint &epA = a.unet.createEndpoint(&procA, {});
+    Endpoint &epB = b.unet.createEndpoint(&procB, {});
+    Endpoint &epC = c.unet.createEndpoint(&procC, {});
+    UNetFe::connect(a.unet, epA, b.unet, epB, ab, ba);
+    UNetFe::connect(a.unet, epA, c.unet, epC, ac, ca);
+    amA = std::make_unique<ActiveMessages>(a.unet, epA);
+    amB = std::make_unique<ActiveMessages>(b.unet, epB);
+    amC = std::make_unique<ActiveMessages>(c.unet, epC);
+    amA->openChannel(ab);
+    amA->openChannel(ac);
+    amB->openChannel(ba);
+    amC->openChannel(ca);
+
+    procA.start();
+    procB.start();
+    procC.start();
+    s.run();
+
+    // Bursts of 3, 3 and then 2: seqs 2 and 3 once more after the ACK.
+    EXPECT_EQ(amA->retransmits(), 8u);
+    ASSERT_EQ(arrivals.size(), 4u);
+    for (Word i = 0; i < 4; ++i)
+        EXPECT_EQ(arrivals[i].first, i);
+    // Seq 1 led the second burst and seq 2 leads the third, so the
+    // gap between their arrivals is the gap between the bursts: the
+    // base timeout plus the sender's poll delay (1.12 ms), where the
+    // backed-off timer would wait 4 ms.
+    sim::Tick gap = arrivals[2].second - arrivals[1].second;
+    EXPECT_GE(gap, rto);
+    EXPECT_LT(gap, 2 * rto) << "bursts " << sim::toMicroseconds(gap)
+                            << " us apart";
 }
 
 TEST(ActiveMessages, OneWayTrafficGetsExplicitAcks)
